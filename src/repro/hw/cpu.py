@@ -122,8 +122,7 @@ class CPU:
         hierarchy: Optional[MemoryHierarchy] = None,
         pmu: Optional[PMU] = None,
         counts: Optional[List[int]] = None,
-        block_engine: bool = True,
-        engine_tier: Optional[str] = None,
+        engine_tier: str = "trace",
     ) -> None:
         self.config = config or CPUConfig()
         self.counts: List[int] = counts if counts is not None else fresh_counts()
@@ -163,18 +162,11 @@ class CPU:
         #: basic-block execution engine (None = pure interpreter).  The
         #: engine is bit-exact with the interpreter at every tier; see
         #: :mod:`repro.hw.blockcache` for the correctness contract.
-        #: ``engine_tier`` ("off" / "block" / "trace") wins over the
-        #: legacy ``block_engine`` flag when given.
-        tier = engine_tier if engine_tier is not None else (
-            "trace" if block_engine else "off"
-        )
-        if tier not in ("off", "block", "trace"):
-            raise ValueError(f"unknown engine tier {tier!r}")
         self.engine = None
-        if tier != "off":
+        if engine_tier != "off":
             from repro.hw.blockcache import BlockEngine
 
-            self.engine = BlockEngine(self, tier)
+            self.engine = BlockEngine(self, engine_tier)
             if self.pmu is not None:
                 self.pmu.set_flush_hook(self.engine.flush)
                 self.pmu.unquiet_hook = self.engine.unbind

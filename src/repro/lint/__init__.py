@@ -2,20 +2,22 @@
 
 Five analyzers behind one diagnostic engine (see DESIGN.md):
 
-- **API misuse** (:mod:`repro.lint.apilint`, rules PL0xx): an AST
-  state machine over Papi/EventSet/HighLevel call sequences;
+- **lifecycle** (:mod:`repro.lint.flow` over :mod:`repro.lint.cfg` /
+  :mod:`repro.lint.dataflow` / :mod:`repro.lint.typestate` /
+  :mod:`repro.lint.summaries`): the one analysis of EventSet, HighLevel,
+  thread and counter-bind lifecycles -- a CFG-based, path-sensitive,
+  interprocedural typestate fixpoint.  A misuse on every path is a
+  PL0xx *must*-finding; one on some paths only is a PL3xx/PL4xx
+  *may*-finding, reported with ``--flow``;
+- **API misuse** (:mod:`repro.lint.apilint`, the remaining PL0xx
+  rules): an AST walk over event names, components, multiplexing and
+  overflow configuration, interface mixing and swallowed errors;
 - **static feasibility** (:mod:`repro.lint.feasibility`, PL1xx):
   decides counter allocability without executing, reusing the runtime
   allocator's bipartite matching over the platform tables;
 - **preset-table validation** (:mod:`repro.lint.presetlint`, PL2xx):
   dangling natives, malformed mappings, FMA normalization, semantic
   drift versus the catalogue's reference vectors;
-- **flow-sensitive typestate** (:mod:`repro.lint.flow` over
-  :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow` /
-  :mod:`repro.lint.typestate` / :mod:`repro.lint.summaries`, PL3xx
-  lifecycle + PL4xx SMP rules): a CFG-based, path-sensitive,
-  interprocedural analysis of EventSet/counter lifecycles, enabled
-  with ``--flow``;
 - **static counter oracle** (:mod:`repro.lint.staticoracle`): affine
   bounds on every architecturally-determined signal of a machine
   program, derived without executing it, bracketing the exact oracle.
@@ -35,7 +37,6 @@ from repro.lint.diagnostics import (
     worst_severity,
 )
 from repro.lint.engine import (
-    FLOW_SHADOWED_BY,
     dedupe_diagnostics,
     lint_file,
     lint_source,
@@ -69,7 +70,6 @@ __all__ = [
     "AffineReport",
     "Diagnostic",
     "EventResolution",
-    "FLOW_SHADOWED_BY",
     "FeasibilityReport",
     "Interval",
     "JSON_SCHEMA",

@@ -1,25 +1,29 @@
 """AST-based API-misuse linting for PAPI instrumentation scripts.
 
-The checker walks a script's AST and tracks, per scope, an abstract
-state machine for every ``Papi`` / ``EventSet`` / ``HighLevel`` object
+The checker walks a script's AST and tracks, per scope, the
+configuration of every ``Papi`` / ``EventSet`` / ``HighLevel`` object
 it can identify statically: which platform it is bound to (from a
 ``create("simX86")`` literal), which events were added (from string
 literals, ``event_name_to_code`` calls, or module-level constant
-lists), and whether it is running, multiplexed, or has overflow
-registered.  Illegal or hazardous call sequences become PL0xx
-diagnostics; when the platform and event names are all statically
-known, the set is additionally handed to the static feasibility
-checker (:mod:`repro.lint.feasibility`) for PL1xx diagnostics, and
-assignments into ``PLATFORM_PRESET_TABLES`` are validated by the
-preset lint (PL2xx).
+lists), and whether it is multiplexed or has overflow registered.
+Event-name, configuration and interface-mixing hazards become PL0xx
+diagnostics (PL003, PL004, PL006, PL009-PL013, PL017-PL019); when the
+platform and event names are all statically known, the set is
+additionally handed to the static feasibility checker
+(:mod:`repro.lint.feasibility`) for PL1xx diagnostics, and assignments
+into ``PLATFORM_PRESET_TABLES`` are validated by the preset lint
+(PL2xx).
 
 Design points:
 
-- **Linear control flow.**  Statements are interpreted in source
-  order; both branches of an ``if`` are walked with the same entry
-  state and loop bodies are walked once.  This is the usual lint
-  trade-off: simple, fast, and right for straight-line instrumentation
-  code, which is what counter-measurement scripts overwhelmingly are.
+- **No lifecycle tracking.**  Run state (started, stopped, thread
+  attachment, counter binds) belongs to the typestate analysis
+  (:mod:`repro.lint.typestate`); the two rules that need it here --
+  PL004 and PL013 -- read which sets may be running at their call site
+  from that analysis's fixpoint facts.  Statements are otherwise
+  interpreted in source order: both branches of an ``if`` are walked
+  and loop bodies are walked once, which is right for the
+  configuration facts tracked here.
 - **Guard awareness.**  A call inside ``try: ... except ConflictError``
   demonstrates intent (the script *expects* the failure -- e.g. the
   multiplexing example that shows the ECNFLCT path), so rules whose
@@ -32,12 +36,16 @@ Design points:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.presets import PRESET_BY_SYMBOL
+from repro.lint.cfg import handler_names
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.feasibility import _substrate, check_events, portability_matrix
 from repro.lint.rules import RULES
+from repro.lint.typestate import eventset_id
 from repro.platforms import PLATFORM_NAMES
 
 #: below this many instructions, a multiplexed run has too few timer
@@ -55,7 +63,6 @@ class _PapiState:
         self.hl_line: Optional[int] = None     # first high-level use
         self.ll_line: Optional[int] = None     # first low-level start
         self.mixing_reported = False
-        self.running: Set[int] = set()         # ids of running EventSets
         #: component names whose registration the script has checked
         #: (papi.component("x"), or query_named of a ::: name)
         self.components_checked: Set[str] = set()
@@ -67,20 +74,14 @@ class _PapiState:
 class _EventSetState:
     """Abstract state of one EventSet variable."""
 
-    def __init__(self, papi: Optional[_PapiState], line: int) -> None:
+    def __init__(self, papi: Optional[_PapiState], node: ast.Call) -> None:
         self.papi = papi
-        self.created_line = line
+        #: the typestate analysis's id for the same creation site
+        self.flow_id = eventset_id(node.lineno, node.col_offset)
         self.events: List[Tuple[Optional[str], int]] = []  # (name, line)
         self.multiplexed = False
-        self.running = False
         self.overflow = False
-        self.started_line: Optional[int] = None
-        self.ever_stopped = False
         self.conflict_reported = False
-        #: identity of the thread this set is attached to (a _ThreadRef
-        #: for tracked spawn() results, else the argument's source text)
-        self.attached: Optional[object] = None
-        self.attached_line: Optional[int] = None
 
     @property
     def platform(self) -> Optional[str]:
@@ -102,18 +103,22 @@ class _HighLevelState:
 
     def __init__(self, papi: Optional[_PapiState]) -> None:
         self.papi = papi
-        self.started = False
-        self.started_line: Optional[int] = None
 
 
 class ApiLinter:
     """Lints one module's AST; collect results from :attr:`diagnostics`."""
 
     def __init__(
-        self, path: str, default_platform: Optional[str] = None
+        self,
+        path: str,
+        default_platform: Optional[str] = None,
+        run_state: Optional[Callable[[ast.AST], FrozenSet[str]]] = None,
     ) -> None:
         self.path = path
         self.default_platform = default_platform
+        #: statement -> typestate ids of the sets that may be running
+        #: when it starts (:meth:`repro.lint.flow.FlowReport.run_state`)
+        self.run_state = run_state or (lambda stmt: frozenset())
         self.diagnostics: List[Diagnostic] = []
         #: module-level literal constants (lists of event names etc.)
         self.module_env: Dict[str, object] = {}
@@ -125,10 +130,10 @@ class ApiLinter:
     def lint(self, tree: ast.Module) -> List[Diagnostic]:
         self._collect_module_constants(tree)
         # module top level is one scope; every function body another.
-        self._run_scope(tree.body)
+        _ScopeInterpreter(self).run(tree.body)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._run_scope(node.body)
+                _ScopeInterpreter(self).run(node.body)
         return self.diagnostics
 
     def _collect_module_constants(self, tree: ast.Module) -> None:
@@ -150,14 +155,6 @@ class ApiLinter:
         except (ValueError, SyntaxError):
             return None
 
-    # ------------------------------------------------------------------
-    # one scope
-    # ------------------------------------------------------------------
-
-    def _run_scope(self, body: Sequence[ast.stmt]) -> None:
-        scope = _ScopeInterpreter(self)
-        scope.run(body)
-
     def report(
         self,
         code: str,
@@ -166,11 +163,8 @@ class ApiLinter:
         hint: str = "",
         guards: Optional[Set[str]] = None,
     ) -> None:
-        rule = RULES[code]
-        if guards and rule.guards:
-            catchable = set(rule.guards) | {"Exception", "BaseException"}
-            if guards & catchable:
-                return  # statically guarded: the script expects this
+        if guards and RULES[code].guarded_by(guards):
+            return  # statically guarded: the script expects this
         self.diagnostics.append(Diagnostic(
             code, self.path,
             getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
@@ -186,12 +180,10 @@ class _ScopeInterpreter:
         self.env: Dict[str, object] = dict(linter.module_env)
         self.vars: Dict[str, object] = {}     # name -> abstract object
         self.eventsets: List[_EventSetState] = []
-        self.highlevels: List[_HighLevelState] = []
         self.clients: List["_ClientState"] = []
         self.guard_stack: List[Set[str]] = []
-        #: counter index -> (thread identity, bind line) for OS-level
-        #: bind_counter calls (a PMU register is exclusive machine-wide)
-        self.counter_binds: Dict[int, Tuple[object, int]] = {}
+        #: the statement being interpreted (run-state queries key on it)
+        self.stmt: Optional[ast.stmt] = None
         #: running count of method calls on tracked PAPI objects; a
         #: try-body that raises it contains counter calls (PL017).
         self.papi_calls = 0
@@ -214,13 +206,14 @@ class _ScopeInterpreter:
 
     def run(self, body: Sequence[ast.stmt]) -> None:
         self.visit_block(body)
-        self._end_of_scope(body)
+        self._end_of_scope()
 
     def visit_block(self, body: Sequence[ast.stmt]) -> None:
         for stmt in body:
             self.visit_stmt(stmt)
 
     def visit_stmt(self, stmt: ast.stmt) -> None:
+        self.stmt = stmt
         if isinstance(stmt, ast.Expr):
             self.eval_expr(stmt.value)
         elif isinstance(stmt, ast.Assign):
@@ -239,27 +232,8 @@ class _ScopeInterpreter:
                 value.escaped = True
         elif isinstance(stmt, ast.If):
             self.eval_expr(stmt.test)
-            refined = self._running_test(stmt.test)
-            if refined is not None:
-                # ``if es.running:`` -- walk each branch under the
-                # state the condition proves, then keep the branch the
-                # entry state would actually have taken.  This is the
-                # guarded-cleanup idiom (stop before destroy); without
-                # it the linear walk reports a spurious PL001/PL002.
-                es, truth = refined
-                entry = es.running
-                es.running = truth
-                self.visit_block(stmt.body)
-                after_body = es.running
-                es.running = not truth
-                self.visit_block(stmt.orelse)
-                after_orelse = es.running
-                es.running = (
-                    after_body if entry == truth else after_orelse
-                )
-            else:
-                self.visit_block(stmt.body)
-                self.visit_block(stmt.orelse)
+            self.visit_block(stmt.body)
+            self.visit_block(stmt.orelse)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self.eval_expr(stmt.iter)
             self.visit_block(stmt.body)
@@ -280,7 +254,9 @@ class _ScopeInterpreter:
             self.visit_block(stmt.body)
         elif isinstance(stmt, ast.Try):
             calls_before = self.papi_calls
-            self.guard_stack.append(self._handler_names(stmt))
+            self.guard_stack.append(
+                {n for h in stmt.handlers for n in handler_names(h)}
+            )
             try:
                 self.visit_block(stmt.body)
             finally:
@@ -292,46 +268,6 @@ class _ScopeInterpreter:
             self.visit_block(stmt.orelse)
             self.visit_block(stmt.finalbody)
         # FunctionDef/ClassDef bodies are linted as separate scopes.
-
-    def _running_test(
-        self, test: ast.expr
-    ) -> Optional[Tuple["_EventSetState", bool]]:
-        """Match ``<eventset>.running`` (optionally negated) conditions."""
-        truth = True
-        while isinstance(test, ast.UnaryOp) and isinstance(
-            test.op, ast.Not
-        ):
-            test, truth = test.operand, not truth
-        if isinstance(test, ast.Attribute) and test.attr == "running":
-            target = self.eval_expr(test.value)
-            if isinstance(target, _EventSetState):
-                return target, truth
-        return None
-
-    @staticmethod
-    def _one_handler_names(handler: ast.excepthandler) -> Set[str]:
-        names: Set[str] = set()
-
-        def add(node: Optional[ast.expr]) -> None:
-            if node is None:
-                names.add("BaseException")  # bare except
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Tuple):
-                for elt in node.elts:
-                    add(elt)
-
-        add(handler.type)
-        return names
-
-    @classmethod
-    def _handler_names(cls, stmt: ast.Try) -> Set[str]:
-        names: Set[str] = set()
-        for handler in stmt.handlers:
-            names |= cls._one_handler_names(handler)
-        return names
 
     #: handler types broad enough to hide *which* PAPI error occurred.
     #: Catching a specific subclass (ConflictError, NoSuchEventError...)
@@ -350,7 +286,7 @@ class _ScopeInterpreter:
         intent and is left alone.
         """
         for handler in stmt.handlers:
-            names = self._one_handler_names(handler)
+            names = handler_names(handler)
             if not names & self._BROAD_CATCHES:
                 continue
             if not all(
@@ -394,11 +330,8 @@ class _ScopeInterpreter:
     def _bind(
         self, name: str, rhs: ast.expr, value: Optional[object]
     ) -> None:
-        if isinstance(
-            value, (_PapiState, _EventSetState, _HighLevelState, str)
-        ) or value.__class__.__name__ in (
-            "_SubstrateRef", "_ThreadRef", "_ClientState"
-        ):
+        if isinstance(value, (_PapiState, _EventSetState, _HighLevelState,
+                              _SubstrateRef, _ClientState, str)):
             self.vars[name] = value
             return
         if isinstance(rhs, ast.Name) and rhs.id in self.vars:
@@ -517,11 +450,9 @@ class _ScopeInterpreter:
             return _PapiState(platform)
         if name == "HighLevel" and node.args:
             papi = self.eval_expr(node.args[0])
-            hl = _HighLevelState(
+            return _HighLevelState(
                 papi if isinstance(papi, _PapiState) else None
             )
-            self.highlevels.append(hl)
-            return hl
         if name == "PapidClient":
             return self._new_client(node)
         return None
@@ -558,7 +489,7 @@ class _ScopeInterpreter:
             return None
         if isinstance(base, _PapiState):
             if method == "create_eventset":
-                es = _EventSetState(base, node.lineno)
+                es = _EventSetState(base, node)
                 self.eventsets.append(es)
                 return es
             if method in ("num_components", "component_names"):
@@ -593,143 +524,36 @@ class _ScopeInterpreter:
             # the receiver is untracked (e.g. a function parameter),
             # but the method name is unambiguous: still track the set
             # so feasibility checks work under --platform.
-            es = _EventSetState(None, node.lineno)
+            es = _EventSetState(None, node)
             self.eventsets.append(es)
             return es
         if method == "PapidClient":
             # attribute-form constructor (daemon.PapidClient(...)): the
             # receiver is a module, the class name is unambiguous
             return self._new_client(node)
-        if method == "spawn":
-            # OS thread creation (os_.spawn / sub.os.spawn): track the
-            # result so bind_counter exclusivity sees through aliases.
-            return _ThreadRef(node.lineno)
-        if method == "bind_counter":
-            self._os_bind_counter(node)
-        if method == "unbind_counter":
-            self._os_unbind_counter(node)
         if method == "run":
             self._check_short_mpx_run(node)
         return None
 
-    # -- OS-level counter virtualization --------------------------------
-
-    def _thread_identity(self, node: ast.expr) -> Optional[object]:
-        """Resolve a thread-valued argument to a stable identity."""
-        if isinstance(node, ast.Name):
-            value = self.vars.get(node.id)
-            if isinstance(value, _ThreadRef):
-                return value
-            return node.id
-        try:
-            return ast.unparse(node)
-        except Exception:  # pragma: no cover - malformed expression
-            return None
-
-    def _os_bind_counter(self, node: ast.Call) -> None:
-        """``os.bind_counter(thread, index)``: one thread per index."""
-        if len(node.args) < 2:
-            return
-        thread = self._thread_identity(node.args[0])
-        index = self.linter._literal(node.args[1])
-        if thread is None or not isinstance(index, int):
-            return
-        previous = self.counter_binds.get(index)
-        if previous is not None and previous[0] != thread:
-            self.report(
-                "PL016", node,
-                f"counter {index} is bound here but was already bound "
-                f"to another thread at line {previous[1]}",
-                hint="unbind_counter() first, or use a different index "
-                     "(a counter register is exclusive machine-wide)",
-            )
-            return
-        self.counter_binds[index] = (thread, node.lineno)
-
-    def _os_unbind_counter(self, node: ast.Call) -> None:
-        if len(node.args) < 2:
-            return
-        index = self.linter._literal(node.args[1])
-        if isinstance(index, int):
-            self.counter_binds.pop(index, None)
-
-    # -- EventSet state machine ----------------------------------------
+    # -- EventSet configuration ----------------------------------------
 
     def _eventset_method(
         self, es: _EventSetState, method: str, node: ast.Call
     ) -> Optional[object]:
         if method in ("add_event", "add_events", "add_named"):
-            self._es_add(es, method, node)
-        elif method in ("remove_event", "cleanup"):
-            if es.running:
-                self.report(
-                    "PL007", node,
-                    f"{method} on a running EventSet",
-                    hint="stop() it first",
-                )
-            if method == "cleanup":
-                es.events.clear()
-            else:
-                self._es_remove(es, node)
+            for name in self._event_names_of_call(method, node):
+                self._es_add_one(es, name, node)
+        elif method == "cleanup":
+            es.events.clear()
+        elif method == "remove_event":
+            self._es_remove(es, node)
         elif method == "set_multiplex":
             self._es_set_multiplex(es, node)
-        elif method == "set_domain":
-            if es.running:
-                self.report(
-                    "PL007", node,
-                    f"{method} on a running EventSet",
-                    hint="stop() it first",
-                )
-        elif method == "attach":
-            self._es_attach(es, node)
-        elif method == "detach":
-            if es.running:
-                self.report(
-                    "PL014", node,
-                    "detach on a running EventSet",
-                    hint="stop() it first; the running counters belong "
-                         "to the attached thread",
-                )
-            es.attached = None
-            es.attached_line = None
         elif method == "overflow":
             self._es_overflow(es, node)
         elif method == "start":
             self._es_start(es, node)
-        elif method == "stop":
-            self._es_expect_running(es, "stop", node)
-            if es.running and es.papi is not None:
-                es.papi.running.discard(id(es))
-            es.running = False
-            es.ever_stopped = True
-        elif method in ("read", "reset", "accum"):
-            self._es_expect_running(es, method, node)
         return None
-
-    def _es_expect_running(
-        self, es: _EventSetState, method: str, node: ast.Call
-    ) -> None:
-        if not es.running:
-            self.report(
-                "PL001", node,
-                f"{method}() on an EventSet that was never started "
-                f"(created at line {es.created_line})"
-                if es.started_line is None else
-                f"{method}() on an EventSet that is already stopped",
-                hint="call start() first",
-            )
-
-    def _es_add(
-        self, es: _EventSetState, method: str, node: ast.Call
-    ) -> None:
-        if es.running:
-            self.report(
-                "PL007", node,
-                f"{method} on a running EventSet",
-                hint="stop() before changing membership",
-            )
-        for name in self._event_names_of_call(method, node):
-            self._es_add_one(es, name, node)
 
     def _event_names_of_call(
         self, method: str, node: ast.Call
@@ -906,16 +730,11 @@ class _ScopeInterpreter:
 
     # -- feasibility hooks ---------------------------------------------
 
-    def _feasibility_platform(
-        self, es: _EventSetState
-    ) -> Optional[str]:
-        return es.platform or self.linter.default_platform
-
     def _check_feasibility_incremental(
         self, es: _EventSetState, node: ast.Call
     ) -> None:
         """Mirror add_event: the add that overflows the counters errs."""
-        platform = self._feasibility_platform(es)
+        platform = es.platform or self.linter.default_platform
         if (
             platform is None
             or es.conflict_reported
@@ -956,12 +775,6 @@ class _ScopeInterpreter:
     def _es_set_multiplex(
         self, es: _EventSetState, node: ast.Call
     ) -> None:
-        if es.running:
-            self.report(
-                "PL007", node,
-                "set_multiplex on a running EventSet",
-                hint="stop() it first",
-            )
         if es.overflow:
             self.report(
                 "PL009", node,
@@ -978,33 +791,6 @@ class _ScopeInterpreter:
             )
         es.multiplexed = True
 
-    def _es_attach(self, es: _EventSetState, node: ast.Call) -> None:
-        if es.running:
-            self.report(
-                "PL014", node,
-                "attach on a running EventSet",
-                hint="stop() it first; per-thread counters cannot be "
-                     "re-homed mid-run",
-            )
-        thread = (
-            self._thread_identity(node.args[0]) if node.args else None
-        )
-        if (
-            es.attached is not None
-            and thread is not None
-            and thread != es.attached
-        ):
-            self.report(
-                "PL015", node,
-                f"EventSet is re-attached to a different thread without "
-                f"detach (attached at line {es.attached_line})",
-                hint="detach() first; re-attaching discards the first "
-                     "thread's virtual counts",
-            )
-        if thread is not None:
-            es.attached = thread
-            es.attached_line = node.lineno
-
     def _es_overflow(self, es: _EventSetState, node: ast.Call) -> None:
         if node.args:
             name = self._event_name(node.args[0])
@@ -1017,12 +803,6 @@ class _ScopeInterpreter:
                          "PAPI_overflow needs a programmed PMU counter "
                          "(the runtime raises PAPI_EINVAL)",
                 )
-        if es.running:
-            self.report(
-                "PL005", node,
-                "overflow registered while the EventSet is running",
-                hint="register before start() for portable behaviour",
-            )
         if es.multiplexed:
             self.report(
                 "PL009", node,
@@ -1032,32 +812,29 @@ class _ScopeInterpreter:
         es.overflow = True
 
     def _es_start(self, es: _EventSetState, node: ast.Call) -> None:
-        if es.running:
-            self.report(
-                "PL002", node,
-                "start() on an EventSet that is already running",
-            )
         papi = es.papi
         if papi is not None:
-            if papi.running - {id(es)}:
+            running = self.linter.run_state(self.stmt)
+            if any(
+                other.flow_id in running
+                for other in self.eventsets
+                if other.papi is papi and other.flow_id != es.flow_id
+            ):
                 self.report(
                     "PL013", node,
                     "start() while another EventSet of the same library "
-                    "is still running",
+                    "may still be running",
                     hint="stop the other set first (one running EventSet "
                          "per library)",
                 )
-            papi.running.add(id(es))
             papi.ll_line = papi.ll_line or node.lineno
             self._check_mixing(papi, node)
-        es.running = True
-        es.started_line = node.lineno
         self._check_feasibility_at_start(es, node)
 
     def _check_feasibility_at_start(
         self, es: _EventSetState, node: ast.Call
     ) -> None:
-        platform = self._feasibility_platform(es)
+        platform = es.platform or self.linter.default_platform
         if platform is None or not es.fully_resolved:
             return
         report = check_events(tuple(es.names), platform)
@@ -1109,29 +886,8 @@ class _ScopeInterpreter:
     ) -> Optional[object]:
         papi = hl.papi
         if method == "start_counters":
-            if hl.started:
-                self.report(
-                    "PL002", node,
-                    "start_counters while high-level counters are "
-                    "already started",
-                )
-            hl.started = True
-            hl.started_line = node.lineno
             self._hl_mark_use(papi, node)
             self._hl_check_events(hl, node)
-        elif method in ("read_counters", "accum_counters"):
-            if not hl.started:
-                self.report(
-                    "PL001", node,
-                    f"{method} before start_counters",
-                )
-        elif method == "stop_counters":
-            if not hl.started:
-                self.report(
-                    "PL001", node,
-                    "stop_counters before start_counters",
-                )
-            hl.started = False
         elif method in ("flops", "flips", "ipc"):
             self._hl_mark_use(papi, node)
         return None
@@ -1211,37 +967,21 @@ class _ScopeInterpreter:
                     bound = value
         if bound is None or bound >= MIN_MPX_RUN_INSTRUCTIONS:
             return
+        running = self.linter.run_state(self.stmt)
         for es in self.eventsets:
-            if es.running and es.multiplexed:
+            if es.multiplexed and es.flow_id in running:
                 self.report(
                     "PL004", node,
-                    f"multiplexed EventSet (started at line "
-                    f"{es.started_line}) measures a run bounded to "
-                    f"{bound} instructions; time-slice estimates will "
-                    f"not converge",
+                    f"a multiplexed EventSet may be running over a run "
+                    f"bounded to {bound} instructions; time-slice "
+                    f"estimates will not converge",
                     hint=f"run at least ~{MIN_MPX_RUN_INSTRUCTIONS} "
                          f"instructions or count directly (E3)",
                 )
 
     # -- scope exit -----------------------------------------------------
 
-    def _end_of_scope(self, body: Sequence[ast.stmt]) -> None:
-        for es in self.eventsets:
-            if es.running and es.started_line is not None:
-                self.linter.diagnostics.append(Diagnostic(
-                    "PL008", self.linter.path, es.started_line, 0,
-                    "EventSet is started here but never stopped in "
-                    "this scope",
-                    hint="stop() releases the hardware counters",
-                ))
-        for hl in self.highlevels:
-            if hl.started and hl.started_line is not None:
-                self.linter.diagnostics.append(Diagnostic(
-                    "PL008", self.linter.path, hl.started_line, 0,
-                    "high-level counters are started here but never "
-                    "stopped in this scope",
-                    hint="stop_counters() releases the counters",
-                ))
+    def _end_of_scope(self) -> None:
         for client in self.clients:
             if not client.closed and not client.escaped:
                 self.linter.diagnostics.append(Diagnostic(
@@ -1258,13 +998,6 @@ class _SubstrateRef:
 
     def __init__(self, platform: Optional[str]) -> None:
         self.platform = platform
-
-
-class _ThreadRef:
-    """Marker for an ``os.spawn(...)`` result bound to a variable."""
-
-    def __init__(self, line: int) -> None:
-        self.line = line
 
 
 class _ClientState:

@@ -1,10 +1,10 @@
 """Control-flow graphs over Python AST for the flow-sensitive linter.
 
-PR 1's AST state machine interprets statements in source order -- right
-for straight-line instrumentation code, blind to everything the paper's
-hardest lessons are about: error paths.  This module builds a real CFG
-for one *scope* (a module body or one function body) so the dataflow
-engine (:mod:`repro.lint.dataflow`) can reason about branches, loops,
+A source-order walk is right for straight-line instrumentation code
+and blind to everything the paper's hardest lessons are about: error
+paths.  This module builds a real CFG for one *scope* (a module body or
+one function body) so the lifecycle analysis (:mod:`repro.lint.dataflow`
+/ :mod:`repro.lint.typestate`) can reason about branches, loops,
 ``try``/``except``/``finally``, ``with``, ``break``/``continue`` and
 early ``return``.
 
@@ -61,14 +61,6 @@ class Node:
     #: (the guard-awareness set, same semantics as the AST pass)
     guards: frozenset = frozenset()
 
-    @property
-    def line(self) -> int:
-        return getattr(self.stmt, "lineno", 0)
-
-    @property
-    def col(self) -> int:
-        return getattr(self.stmt, "col_offset", 0)
-
 
 @dataclass
 class CFG:
@@ -114,11 +106,9 @@ class _TryContext:
         self,
         handler_entries: List[int],
         finalbody: Sequence[ast.stmt],
-        try_stmt: ast.Try,
     ) -> None:
         self.handler_entries = handler_entries
         self.finalbody = finalbody
-        self.try_stmt = try_stmt
 
 
 class _LoopContext:
@@ -409,7 +399,7 @@ class _Builder:
             handler_entries.append(
                 self.cfg.add_node(handler, kind="stmt", guards=self.guards)
             )
-        ctx = _TryContext(handler_entries, stmt.finalbody, stmt)
+        ctx = _TryContext(handler_entries, stmt.finalbody)
         guard = frozenset(
             n for h in stmt.handlers for n in handler_names(h)
         )

@@ -23,7 +23,7 @@ program points.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Generic, Tuple, TypeVar
+from typing import Dict, Generic, Tuple, TypeVar
 
 from repro.lint.cfg import CFG, EXC
 
@@ -104,11 +104,3 @@ def solve(
                     work.append(dst)
                     queued.add(dst)
     return ins, outs
-
-
-def solve_ins(cfg: CFG, analysis: Analysis[Fact]) -> Dict[int, Fact]:
-    """Convenience wrapper returning only the IN facts."""
-    return solve(cfg, analysis)[0]
-
-
-TransferFn = Callable[[object, Fact], Fact]

@@ -2,31 +2,28 @@
 
 One entry point per input kind:
 
-- :func:`lint_source` / :func:`lint_file` run the AST API-misuse
-  checker (with its embedded feasibility and preset-table hooks) over a
-  Python instrumentation script; with ``flow=True`` the CFG-based
-  typestate pass (:mod:`repro.lint.flow`) runs as well and its findings
-  are merged;
+- :func:`lint_source` / :func:`lint_file` lint a Python instrumentation
+  script: the lifecycle analysis (:mod:`repro.lint.flow`, one typestate
+  fixpoint per scope) runs first, then the AST checker
+  (:mod:`repro.lint.apilint`, with its embedded feasibility and
+  preset-table hooks) reads run state from its facts;
 - the feasibility and preset-table analyzers are also usable directly
   via :mod:`repro.lint.feasibility` and :mod:`repro.lint.presetlint`
   for the ``check-events`` / ``check-presets`` CLI verbs.
 
-The two passes overlap by design: the AST pass reports *must*-misuses
-in source order, the flow pass *may*-misuses over all paths.  When both
-flag the same hazard at the same line the flow finding is dropped
-(:data:`FLOW_SHADOWED_BY`), and any finding is reported at most once
-per ``(rule, file, line, col)`` -- so enabling ``--flow`` never
-double-reports.
+The lifecycle analysis reports each hazard once: as a PL0xx
+*must*-finding when it holds on every path (kept in every mode), or as
+a PL3xx/PL4xx *may*-finding otherwise (kept only with ``flow=True``).
+Any finding is reported at most once per ``(rule, file, line, col)``.
 
-A file that does not parse yields exactly one PL900 diagnostic at the
-syntax error's position rather than raising -- linters report, they do
-not crash.
+A file that does not parse (or decode) yields exactly one PL900
+diagnostic rather than raising -- linters report, they do not crash.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.lint.apilint import ApiLinter
 from repro.lint.diagnostics import (
@@ -35,17 +32,8 @@ from repro.lint.diagnostics import (
     parse_suppressions,
     sort_diagnostics,
 )
-
-#: flow-pass rule -> AST-pass rules that report the same hazard.  A flow
-#: finding is dropped when a shadowing AST finding exists on its line.
-FLOW_SHADOWED_BY: Dict[str, Tuple[str, ...]] = {
-    "PL301": ("PL001",),
-    "PL302": ("PL002", "PL005", "PL007", "PL014"),
-    "PL303": ("PL008", "PL017"),
-    "PL304": ("PL008",),
-    "PL401": ("PL015", "PL016"),
-    "PL403": ("PL016",),
-}
+from repro.lint.flow import lint_flow
+from repro.lint.rules import is_path_dependent
 
 
 def dedupe_diagnostics(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
@@ -61,19 +49,6 @@ def dedupe_diagnostics(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
     return kept
 
 
-def _drop_shadowed(
-    ast_diags: List[Diagnostic], flow_diags: List[Diagnostic]
-) -> List[Diagnostic]:
-    positions = {(d.code, d.line) for d in ast_diags}
-    kept = []
-    for diag in flow_diags:
-        shadows = FLOW_SHADOWED_BY.get(diag.code, ())
-        if any((code, diag.line) in positions for code in shadows):
-            continue
-        kept.append(diag)
-    return kept
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -84,8 +59,8 @@ def lint_source(
 
     *default_platform* supplies a platform for feasibility checks when
     the script itself does not pin one statically (the CLI's
-    ``--platform`` flag).  *flow* additionally runs the CFG-based
-    typestate pass (PL3xx/PL4xx rules).
+    ``--platform`` flag).  *flow* also keeps the lifecycle analysis's
+    path-dependent PL3xx/PL4xx findings.
     """
     try:
         tree = ast.parse(source, filename=path)
@@ -94,17 +69,19 @@ def lint_source(
             "PL900", path, exc.lineno or 0, (exc.offset or 1) - 1,
             f"cannot parse: {exc.msg}",
         )]
-    linter = ApiLinter(path, default_platform=default_platform)
-    diagnostics = linter.lint(tree)
-    if flow:
-        from repro.lint.flow import lint_flow
-
-        diagnostics = diagnostics + _drop_shadowed(
-            diagnostics, lint_flow(tree, path)
-        )
-    diagnostics = dedupe_diagnostics(diagnostics)
+    lifecycle = lint_flow(tree, path)
+    linter = ApiLinter(
+        path, default_platform=default_platform,
+        run_state=lifecycle.run_state,
+    )
+    diagnostics = linter.lint(tree) + [
+        d for d in lifecycle.diagnostics
+        if flow or not is_path_dependent(d.code)
+    ]
+    if not diagnostics:
+        return diagnostics
     diagnostics = apply_suppressions(
-        diagnostics, parse_suppressions(source)
+        dedupe_diagnostics(diagnostics), parse_suppressions(source)
     )
     return sort_diagnostics(diagnostics)
 
@@ -121,6 +98,10 @@ def lint_file(
     except OSError as exc:
         return [Diagnostic(
             "PL900", path, 0, 0, f"cannot read file: {exc.strerror}",
+        )]
+    except UnicodeDecodeError as exc:
+        return [Diagnostic(
+            "PL900", path, 0, 0, f"cannot decode file as UTF-8: {exc.reason}",
         )]
     return lint_source(
         source, path, default_platform=default_platform, flow=flow

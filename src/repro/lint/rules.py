@@ -4,12 +4,18 @@ Every diagnostic papi-lint can emit is declared here with a stable code,
 a default severity, and the paper section whose lesson it mechanizes.
 Rule codes are grouped by analyzer:
 
-- ``PL0xx`` -- API-misuse rules from the AST state machine
+- ``PL0xx`` -- API-misuse rules.  The lifecycle ones (PL001, PL002,
+  PL005, PL007, PL008, PL014-PL016) are the *must*-findings of the
+  typestate analysis (:mod:`repro.lint.typestate`): the misuse holds on
+  every path.  The rest come from the AST checker
   (:mod:`repro.lint.apilint`);
 - ``PL1xx`` -- static EventSet feasibility rules
   (:mod:`repro.lint.feasibility`);
 - ``PL2xx`` -- preset-table cross-validation rules
   (:mod:`repro.lint.presetlint`);
+- ``PL3xx`` / ``PL4xx`` -- the typestate analysis's path-dependent
+  *may*-findings (lifecycle and SMP/thread rules), reported only under
+  ``--flow`` (:func:`is_path_dependent`);
 - ``PL9xx`` -- engine-level problems (unparseable input).
 
 Severities: an ``error`` is a call sequence or configuration that the
@@ -52,13 +58,20 @@ class Rule:
     #: the diagnostic is suppressed -- see repro.lint.apilint).
     guards: Tuple[str, ...] = ()
 
+    def guarded_by(self, caught) -> bool:
+        """Do handlers catching *caught* (exception names) show that
+        the script expects this rule's failure?"""
+        return bool(self.guards) and not caught.isdisjoint(
+            self.guards + ("Exception", "BaseException")
+        )
+
 
 _PAPI_GUARD = ("PapiError",)
 
 RULES: Dict[str, Rule] = {
     r.code: r
     for r in [
-        # -- API misuse (AST state machine) -----------------------------
+        # -- API misuse ------------------------------------------------
         Rule("PL001", Severity.ERROR,
              "read/stop/reset/accum on an EventSet that is not running",
              "Section 5 (EventSet run control)",
@@ -142,7 +155,7 @@ RULES: Dict[str, Rule] = {
              "DESIGN.md (component architecture: PAPI_ENOCMP contract)",
              guards=("NoSuchComponentError", "NoSuchEventError",
                      "SubstrateFeatureError") + _PAPI_GUARD),
-        # -- flow-sensitive typestate (CFG dataflow engine) --------------
+        # -- path-dependent lifecycle (may-findings) -------------------
         Rule("PL301", Severity.ERROR,
              "an operation requiring a running EventSet is reachable "
              "along a path on which the set is not running",
@@ -166,7 +179,7 @@ RULES: Dict[str, Rule] = {
              "recovery-ladder misuse: a fatal (non-transient) PAPI "
              "error class is blindly retried in a loop",
              "Fault model & recovery (core/resilience.py ladder)"),
-        # -- flow-sensitive SMP/thread rules -----------------------------
+        # -- path-dependent SMP/thread rules (may-findings) ------------
         Rule("PL401", Severity.ERROR,
              "one EventSet is shared between two spawned threads "
              "without bind_cpu (virtual counts follow a single owner)",
@@ -214,7 +227,7 @@ RULES: Dict[str, Rule] = {
              "Section 4 (the POWER3 rounding-instruction discrepancy)"),
         # -- engine ------------------------------------------------------
         Rule("PL900", Severity.ERROR,
-             "file cannot be parsed as Python",
+             "file cannot be read, decoded or parsed as Python",
              "-"),
     ]
 }
@@ -223,3 +236,8 @@ RULES: Dict[str, Rule] = {
 def rule(code: str) -> Rule:
     """Look up a rule by code; raises KeyError for unknown codes."""
     return RULES[code]
+
+
+def is_path_dependent(code: str) -> bool:
+    """PL3xx/PL4xx: a may-finding, reported only under ``--flow``."""
+    return code.startswith(("PL3", "PL4"))

@@ -47,7 +47,6 @@ from repro.lint.typestate import (
     ParamEffect,
     TypestateAnalysis,
     eval_expr_values,
-    is_eventset,
     param_id,
 )
 
@@ -126,7 +125,7 @@ def _returns_states(
             continue
         vals, objs = eval_expr_values(analysis, ins[node.id], stmt.value)
         for val in vals:
-            if val.startswith("es@") and val in objs:
+            if val.startswith(("es@", "ret@")) and val in objs:
                 states |= objs[val].state_names
     return frozenset(states) if states else None
 
@@ -148,7 +147,7 @@ def _param_effect(
 
     violations: List[Tuple[str, str]] = []
 
-    def sink(rule, node, objid, message, hint, method):
+    def sink(rule, line, col, objid, method, message, hint):
         if objid == oid and (rule, method) not in violations:
             violations.append((rule, method))
 

@@ -1,28 +1,40 @@
-"""Typestate lattice and transfer functions for the flow-sensitive linter.
+"""Typestate lattice and transfer functions: papi-lint's lifecycle analysis.
 
+This module is the only place papi-lint tracks run state: EventSet and
+HighLevel lifecycles, thread attachment and OS-level counter binds.
 The abstract domain tracks, per control-flow point:
 
 - an **environment** mapping variable names to sets of abstract values
-  (EventSet/Thread creation sites, PMU references);
+  (EventSet/HighLevel/Thread creation sites, PMU references);
 - per abstract object a :class:`ObjFact`: the set of *possible*
   lifecycle states -- each element tagged with whether it was reached
-  through an exception edge -- plus thread-attachment, ``bind_cpu`` and
-  OS-level counter-binding facts.
+  through an exception edge and whether an earlier operation on the
+  object already failed on that path -- plus thread-attachment,
+  ``bind_cpu`` and OS-level counter-binding facts.
 
 Everything is a finite powerset, joins are elementwise unions (except
 ``must_bound``, which is an intersection), and all transfers are
 elementwise filter/map -- so the worklist solver terminates and the
 analysis is monotone by construction.
 
-Rule logic (PL3xx/PL4xx) lives here too: after the fixpoint, a report
-pass re-runs every node's transfer against its final IN fact with a
-diagnostic sink attached.  The rules report both may-violations (wrong
-on *some* path) and must-violations (wrong on every path); the engine's
-shadow dedup drops the flow finding when PR 1's AST pass already
-reported the same hazard on the same line, so must-cases surface under
-the flow rules only where the AST pass is blind (summary-returned sets,
-loop-carried state).  Objects whose state is completely unknown
-(function parameters before any observed operation) are never reported.
+Rule logic lives here too: after the fixpoint, a report pass re-runs
+every node's transfer against its final IN fact with a diagnostic sink
+attached.  Every lifecycle check sorts its finding by one rule:
+
+- the violation holds on **every** path and the object comes from a
+  creation site in this scope (``create_eventset()``, ``HighLevel()``,
+  ``spawn()``): a *must*-finding, reported with its PL0xx code (PL001,
+  PL002, PL005, PL007, PL014, PL015, PL016, and PL008 at scope exit);
+- otherwise -- some paths only, a function parameter, or a set handed
+  back by a helper's summary: a *may*-finding, reported with its
+  PL3xx/PL4xx code, which the engine keeps only under ``--flow``.
+
+A must-finding does not narrow the object's state ("the operation
+succeeded, so the set was running"): the failing path is kept, tagged
+as failed, so a repeat of the same misuse further down is reported
+again, one finding per offending call.  Objects whose state is
+completely unknown (function parameters before any observed operation,
+sets handed to an unknown callee) are never reported.
 """
 
 from __future__ import annotations
@@ -31,9 +43,8 @@ import ast
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lint.cfg import CFG, Node
+from repro.lint.cfg import Node
 from repro.lint.dataflow import Analysis
-from repro.lint.diagnostics import Diagnostic
 from repro.lint.rules import RULES
 
 # -- lifecycle states ---------------------------------------------------
@@ -44,20 +55,41 @@ STOPPED = "stopped"
 
 ALL_STATES = frozenset({CREATED, RUNNING, STOPPED})
 
-#: (state, via_exception) pairs for a fully unknown object.
-UNKNOWN_ELEMENTS = frozenset((s, False) for s in ALL_STATES)
+#: (state, via_exception, failed) triples for a fully unknown object.
+UNKNOWN_ELEMENTS = frozenset((s, False, False) for s in ALL_STATES)
 
 #: EventSet methods that require the set to be running.
 REQUIRES_RUNNING = frozenset({"read", "stop", "reset", "accum"})
 
 #: EventSet methods that require the set NOT to be running.  ``bind_cpu``
-#: is here too: PR 3's runtime raises IsRunningError for it, but PR 1's
-#: AST pass has no rule for it, so the flow pass is its only checker.
+#: is here too (the runtime raises IsRunningError for it) but has no
+#: PL0xx code, so it is reported as PL302 on every path.
 REQUIRES_STOPPED = frozenset({
     "start", "add_event", "add_events", "add_named", "remove_event",
     "cleanup", "set_multiplex", "set_domain", "attach", "detach",
     "overflow", "bind_cpu",
 })
+
+#: must-finding code per method; the may-code is PL301 for
+#: REQUIRES_RUNNING methods and PL302 for REQUIRES_STOPPED ones.
+MUST_RULES: Dict[str, str] = {
+    **{m: "PL001" for m in REQUIRES_RUNNING},
+    "start": "PL002",
+    "overflow": "PL005",
+    **{m: "PL007" for m in ("add_event", "add_events", "add_named",
+                            "remove_event", "cleanup", "set_multiplex",
+                            "set_domain")},
+    "attach": "PL014",
+    "detach": "PL014",
+}
+
+#: HighLevel methods, by the EventSet method whose lifecycle they share.
+HIGHLEVEL_METHODS = {
+    "start_counters": "start",
+    "read_counters": "read",
+    "accum_counters": "accum",
+    "stop_counters": "stop",
+}
 
 #: OS-level virtualized-counter operations requiring a prior bind.
 OS_COUNTER_OPS = frozenset({
@@ -69,9 +101,21 @@ OS_COUNTER_OPS = frozenset({
 
 PMU_VALUE = "pmu"
 
+#: ``attached`` element for "not attached to any thread on this path".
+UNATTACHED = ""
+
 
 def eventset_id(line: int, col: int) -> str:
     return f"es@{line}:{col}"
+
+
+def highlevel_id(line: int, col: int) -> str:
+    return f"hl@{line}:{col}"
+
+
+def returned_id(line: int, col: int) -> str:
+    """A set handed back by a summarized helper called at (line, col)."""
+    return f"ret@{line}:{col}"
 
 
 def thread_id(line: int, col: int) -> str:
@@ -83,11 +127,18 @@ def param_id(index: int) -> str:
 
 
 def is_eventset(val: str) -> bool:
-    return val.startswith("es@") or val.startswith("param:")
+    """Any object with a lifecycle: local, returned or parameter."""
+    return val.startswith(("es@", "hl@", "ret@", "param:"))
+
+
+def is_local(val: str) -> bool:
+    """Created in this scope: its must-findings get PL0xx codes."""
+    return val.startswith(("es@", "hl@"))
 
 
 def is_thread(val: str) -> bool:
-    return val.startswith("thread@")
+    """A spawn site (``thread@``) or an untracked thread expression."""
+    return val.startswith(("thread@", "thread:"))
 
 
 # -- facts --------------------------------------------------------------
@@ -97,9 +148,13 @@ def is_thread(val: str) -> bool:
 class ObjFact:
     """May-facts about one abstract object (creation site or parameter)."""
 
-    #: lifecycle: set of (state, reached_via_exception_edge) pairs
-    states: FrozenSet[Tuple[str, bool]] = frozenset()
+    #: lifecycle: (state, reached_via_exception_edge, failed) triples;
+    #: ``failed`` marks a path on which an operation on this local
+    #: object already violated its precondition (the runtime would
+    #: have raised there).
+    states: FrozenSet[Tuple[str, bool, bool]] = frozenset()
     #: thread identities this EventSet may currently be attached to
+    #: (:data:`UNATTACHED` for paths where it is attached to none)
     attached: FrozenSet[str] = frozenset()
     #: bind_cpu() was called on some path (suppresses sharing hazards)
     bound_cpu: bool = False
@@ -121,13 +176,30 @@ class ObjFact:
         )
 
     def mark_exceptional(self) -> "ObjFact":
-        return replace(
-            self, states=frozenset((s, True) for s, _via in self.states)
-        )
+        return replace(self, states=frozenset(
+            (s, True, failed) for s, _via, failed in self.states
+        ))
 
     @property
     def state_names(self) -> FrozenSet[str]:
-        return frozenset(s for s, _via in self.states)
+        return frozenset(s for s, _via, _failed in self.states)
+
+    @property
+    def live_names(self) -> FrozenSet[str]:
+        """States on the paths where no operation has failed yet, or
+        every state once all paths have failed."""
+        live = frozenset(s for s, _via, failed in self.states if not failed)
+        return live or self.state_names
+
+    @property
+    def may_run(self) -> bool:
+        """Running on some path, and not merely fully unknown."""
+        names = self.state_names
+        return RUNNING in names and names != ALL_STATES
+
+
+#: an object absent on one side of a join: no state, nothing bound
+_ABSENT = ObjFact()
 
 
 @dataclass(frozen=True)
@@ -171,12 +243,10 @@ def join_facts(a: FlowFact, b: FlowFact) -> FlowFact:
         for name in set(env_a) | set(env_b)
     }
     objs_a, objs_b = a.objs_dict(), b.objs_dict()
-    objs: Dict[str, ObjFact] = {}
-    for oid in set(objs_a) | set(objs_b):
-        if oid in objs_a and oid in objs_b:
-            objs[oid] = objs_a[oid].join(objs_b[oid])
-        else:
-            objs[oid] = objs_a.get(oid) or objs_b[oid]
+    objs = {
+        oid: objs_a.get(oid, _ABSENT).join(objs_b.get(oid, _ABSENT))
+        for oid in set(objs_a) | set(objs_b)
+    }
     return FlowFact.make(env, objs)
 
 
@@ -206,8 +276,8 @@ class FunctionSummary:
 
 # -- the analysis -------------------------------------------------------
 
-#: a sink receives (rule, node, objid, message, hint, method)
-Sink = Callable[[str, Node, str, str, str, str], None]
+#: a sink receives (rule, line, col, objid, method, message, hint)
+Sink = Callable[[str, int, int, str, str, str, str], None]
 
 
 class TypestateAnalysis(Analysis[FlowFact]):
@@ -238,7 +308,7 @@ class TypestateAnalysis(Analysis[FlowFact]):
             env[name] = frozenset({oid})
             elements = UNKNOWN_ELEMENTS
             if self.seed_param is not None and self.seed_param[0] == i:
-                elements = frozenset({(self.seed_param[1], False)})
+                elements = frozenset({(self.seed_param[1], False, False)})
             objs[oid] = ObjFact(states=elements)
         return FlowFact.make(env, objs)
 
@@ -294,10 +364,7 @@ class TypestateAnalysis(Analysis[FlowFact]):
             return fact  # aliased or untracked: refinement unsound
         oid = receivers[0]
         old = interp.objs[oid]
-        kept = frozenset(
-            (s, via) for s, via in old.states
-            if (s == RUNNING) == truth
-        )
+        kept = frozenset(e for e in old.states if (e[0] == RUNNING) == truth)
         if not kept:
             return BOTTOM  # contradiction: this branch cannot be taken
         interp.objs[oid] = replace(old, states=kept)
@@ -309,19 +376,18 @@ class TypestateAnalysis(Analysis[FlowFact]):
         self,
         rule: str,
         objid: str,
+        call: ast.AST,
         message: str,
         hint: str = "",
         method: str = "",
     ) -> None:
+        """Report *rule* at *call*, unless an enclosing handler guards it."""
         if self.sink is None or self._node is None:
             return
-        node = self._node
-        declared = RULES[rule]
-        if node.guards and declared.guards:
-            catchable = set(declared.guards) | {"Exception", "BaseException"}
-            if set(node.guards) & catchable:
-                return  # the script statically expects this failure
-        self.sink(rule, node, objid, message, hint, method)
+        if RULES[rule].guarded_by(self._node.guards):
+            return  # the script statically expects this failure
+        self.sink(rule, call.lineno, call.col_offset, objid, method,
+                  message, hint)
 
 
 class _StmtInterpreter:
@@ -368,12 +434,13 @@ class _StmtInterpreter:
         elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
                 self.eval(stmt.exc)
-        elif isinstance(stmt, (ast.Assert, ast.Delete)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self.eval(child)
+        elif isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                self.eval(target)
         # Try nodes appear as handler-entry markers only; FunctionDef /
-        # ClassDef bodies are separate scopes.
+        # ClassDef bodies are separate scopes.  An assert has no effect:
+        # ``python -O`` strips it, so ``assert es.stop() == [...]`` does
+        # not reliably stop anything.
 
     def _assign_target(self, target: ast.expr, vals: FrozenSet[str]) -> None:
         if isinstance(target, ast.Name):
@@ -415,7 +482,7 @@ class _StmtInterpreter:
 
         func = node.func
         if isinstance(func, ast.Attribute):
-            return self._method_call(func, node, argvals)
+            return self._method_call(func, node)
         if isinstance(func, ast.Name):
             return self._function_call(func.id, node, argvals)
         self.eval(func)
@@ -429,26 +496,27 @@ class _StmtInterpreter:
         return None
 
     def _thread_identities(self, node: ast.expr) -> FrozenSet[str]:
-        """Resolve a thread-valued argument to stable identities."""
+        """Resolve a thread-valued argument to stable identities: its
+        spawn sites, else the argument's source text."""
         vals = frozenset(v for v in self.eval(node) if is_thread(v))
         if vals:
             return vals
         try:
-            return frozenset({ast.unparse(node)})
+            return frozenset({"thread:" + ast.unparse(node)})
         except Exception:  # pragma: no cover - malformed expression
             return frozenset()
 
     # -- method dispatch ------------------------------------------------
 
     def _method_call(
-        self, func: ast.Attribute, node: ast.Call, argvals
+        self, func: ast.Attribute, node: ast.Call
     ) -> FrozenSet[str]:
         basevals = self.eval(func.value)
         method = func.attr
 
         if method == "create_eventset":
             oid = eventset_id(node.lineno, node.col_offset)
-            self.objs[oid] = ObjFact(states=frozenset({(CREATED, False)}))
+            self.objs[oid] = _created()
             return frozenset({oid})
         if method == "spawn":
             tid = thread_id(node.lineno, node.col_offset)
@@ -464,131 +532,152 @@ class _StmtInterpreter:
 
         es_ids = [v for v in basevals if is_eventset(v) and v in self.objs]
         if es_ids:
-            return self._eventset_method(es_ids, method, node)
-        if PMU_VALUE in basevals and method in ("read", "stop"):
+            self._eventset_method(es_ids, method, node)
+        elif PMU_VALUE in basevals and method in ("read", "stop"):
             self._pmu_direct_access(method, node)
         return frozenset()
 
-    # -- EventSet lifecycle ---------------------------------------------
+    # -- EventSet / HighLevel lifecycle ---------------------------------
 
     def _eventset_method(
         self, es_ids: List[str], method: str, node: ast.Call
-    ) -> FrozenSet[str]:
+    ) -> None:
         strong = len(es_ids) == 1
         for oid in es_ids:
+            op = method
+            if oid.startswith("hl@"):
+                op = HIGHLEVEL_METHODS.get(method, "")
             old = self.objs[oid]
-            new = self._apply_eventset_method(oid, old, method, node)
+            new = self._apply_eventset_method(oid, old, op, node)
             self.objs[oid] = new if strong else old.join(new)
-        if method in ("read", "stop", "accum"):
-            return frozenset()  # counter values, not tracked objects
-        return frozenset()
 
     def _apply_eventset_method(
         self, oid: str, fact: ObjFact, method: str, node: ast.Call
     ) -> ObjFact:
-        states = fact.states
-        names = fact.state_names
-        if method in REQUIRES_RUNNING:
-            bad = frozenset(s for s in names if s != RUNNING)
-            if bad and names != ALL_STATES:
-                where = (
-                    "along some path" if RUNNING in names
-                    else "on every path"
-                )
-                self.analysis.report(
-                    "PL301", oid,
-                    f"{method}() executes on an EventSet that is "
-                    f"{'/'.join(sorted(bad))} {where}",
-                    hint="every path reaching this call must have "
-                         "start()ed the set (PAPI_ENOTRUN otherwise)",
-                    method=method,
-                )
-            # the operation succeeded => the set was running; a stop
-            # leaves it stopped, everything else leaves it running.
-            post = STOPPED if method == "stop" else RUNNING
-            new_states = frozenset(
-                (post, via) for s, via in states if s == RUNNING
+        needs_running = method in REQUIRES_RUNNING
+        if not needs_running and method not in REQUIRES_STOPPED:
+            return fact
+        local = is_local(oid)
+        names = fact.live_names
+        bad = frozenset(s for s in names if (s == RUNNING) != needs_running)
+        # once every path has failed, only a repeat on all of them counts
+        all_failed = all(failed for _s, _via, failed in fact.states)
+        if bad and names != ALL_STATES and (bad == names or not all_failed):
+            self._lifecycle_violation(
+                oid, method, needs_running, bad, bad == names, node
             )
-            return replace(fact, states=new_states)
 
-        if method in REQUIRES_STOPPED:
-            if RUNNING in names and names != ALL_STATES:
-                where = (
-                    "along some path" if names != {RUNNING}
-                    else "on every path"
-                )
-                self.analysis.report(
-                    "PL302", oid,
-                    f"{method}() executes on an EventSet that is "
-                    f"still running {where}",
-                    hint="stop() the set on every path first "
-                         "(PAPI_EISRUN otherwise)",
-                    method=method,
-                )
-            kept = frozenset((s, via) for s, via in states if s != RUNNING)
-            if method == "start":
-                new_states = frozenset((RUNNING, via) for _s, via in kept)
-                return replace(
-                    fact,
-                    states=new_states,
-                    started_lines=fact.started_lines | {node.lineno},
-                )
-            if method == "attach":
-                return self._attach(fact, kept, node)
-            if method == "detach":
-                return replace(fact, states=kept, attached=frozenset())
-            if method == "bind_cpu":
-                return replace(fact, states=kept, bound_cpu=True)
-            return replace(fact, states=kept)
+        # the operation succeeded on the paths whose precondition held;
+        # on the others it raised: dropped, or kept as failed for a
+        # local object so its repeat must-findings still fire.
+        if needs_running:
+            post = STOPPED if method == "stop" else RUNNING
+        else:
+            post = RUNNING if method == "start" else None
+        states = set()
+        for s, via, failed in fact.states:
+            if (s == RUNNING) == needs_running:
+                states.add((post or s, via, failed))
+            elif local:
+                states.add((s, via, True))
+        fact = replace(fact, states=frozenset(states))
+
+        if method == "start":
+            return replace(
+                fact, started_lines=fact.started_lines | {node.lineno}
+            )
+        if method == "attach":
+            return self._attach(oid, fact, node)
+        if method == "detach":
+            return replace(fact, attached=frozenset({UNATTACHED}))
+        if method == "bind_cpu":
+            return replace(fact, bound_cpu=True)
         return fact
 
-    def _attach(
+    def _lifecycle_violation(
         self,
-        fact: ObjFact,
-        kept: FrozenSet[Tuple[str, bool]],
+        oid: str,
+        method: str,
+        needs_running: bool,
+        bad: FrozenSet[str],
+        every_path: bool,
         node: ast.Call,
-    ) -> ObjFact:
+    ) -> None:
+        if needs_running:
+            rule, state = "PL301", "/".join(sorted(bad))
+            hint = ("every path reaching this call must have start()ed "
+                    "the set (PAPI_ENOTRUN otherwise)")
+        else:
+            rule, state = "PL302", "still running"
+            hint = "stop() the set on every path first (PAPI_EISRUN otherwise)"
+        if every_path and is_local(oid) and method in MUST_RULES:
+            rule = MUST_RULES[method]
+        noun = (
+            "high-level counters" if oid.startswith("hl@") else "an EventSet"
+        )
+        where = "on every path" if every_path else "along some path"
+        self.analysis.report(
+            rule, oid, node, f"{method}() executes on {noun} that is "
+            f"{state} {where}", hint=hint, method=method,
+        )
+
+    def _attach(self, oid: str, fact: ObjFact, node: ast.Call) -> ObjFact:
         identities = (
             self._thread_identities(node.args[0]) if node.args
             else frozenset()
         )
-        foreign = fact.attached - identities
-        if foreign and identities and not fact.bound_cpu:
-            self.analysis.report(
-                "PL401", "",
-                "this EventSet may still be owned by a different "
-                "spawned thread here (attached on another path without "
-                "an intervening detach)",
-                hint="detach() on every path first, or bind_cpu() to "
-                     "pin the counters to one CPU",
-            )
-        return replace(fact, states=kept, attached=identities)
+        foreign = fact.attached - identities - {UNATTACHED}
+        if foreign and identities:
+            if is_local(oid) and fact.attached == foreign:
+                self.analysis.report(
+                    "PL015", oid, node,
+                    "EventSet is re-attached to a different thread "
+                    "without detach",
+                    hint="detach() first; re-attaching discards the "
+                         "first thread's virtual counts",
+                )
+            elif not fact.bound_cpu:
+                self.analysis.report(
+                    "PL401", oid, node,
+                    "this EventSet may still be owned by a different "
+                    "spawned thread here (attached on another path "
+                    "without an intervening detach)",
+                    hint="detach() on every path first, or bind_cpu() "
+                         "to pin the counters to one CPU",
+                )
+        return replace(fact, attached=identities)
 
     # -- OS-level counter virtualization ---------------------------------
 
     def _os_bind_counter(self, node: ast.Call) -> None:
         if len(node.args) < 2:
             return
-        threads = [
-            v for v in self.eval(node.args[0])
-            if is_thread(v) and v in self.objs
-        ]
+        threads = self._thread_identities(node.args[0])
         index = self._literal_int(node.args[1])
         if index is None:
             return
-        for tid, fact in self.objs.items():
-            if not is_thread(tid) or tid in threads:
-                continue
-            if index in fact.may_bound:
-                self.analysis.report(
-                    "PL401", tid,
-                    f"counter {index} may still be bound to another "
-                    f"thread on some path reaching this bind_counter",
-                    hint="unbind_counter() on every path first (a "
-                         "counter register is exclusive machine-wide)",
-                )
+        others = [
+            fact for tid, fact in self.objs.items()
+            if is_thread(tid) and tid not in threads
+        ]
+        if any(index in fact.must_bound for fact in others):
+            self.analysis.report(
+                "PL016", "", node,
+                f"counter {index} is bound here but is already bound to "
+                f"another thread",
+                hint="unbind_counter() first, or use a different index "
+                     "(a counter register is exclusive machine-wide)",
+            )
+        elif any(index in fact.may_bound for fact in others):
+            self.analysis.report(
+                "PL401", "", node,
+                f"counter {index} may still be bound to another "
+                f"thread on some path reaching this bind_counter",
+                hint="unbind_counter() on every path first (a "
+                     "counter register is exclusive machine-wide)",
+            )
         for tid in threads:
-            fact = self.objs[tid]
+            fact = self.objs.get(tid, _ABSENT)
             self.objs[tid] = replace(
                 fact,
                 may_bound=fact.may_bound | {index},
@@ -598,31 +687,30 @@ class _StmtInterpreter:
     def _os_counter_op(self, method: str, node: ast.Call) -> None:
         if len(node.args) < 2:
             return
-        threads = [
-            v for v in self.eval(node.args[0])
-            if is_thread(v) and v in self.objs
-        ]
         index = self._literal_int(node.args[1])
-        if index is None or not threads:
+        if index is None:
             return
+        threads = self._thread_identities(node.args[0])
         if method == "unbind_counter":
             for tid in threads:
-                fact = self.objs[tid]
+                fact = self.objs.get(tid, _ABSENT)
                 self.objs[tid] = replace(
                     fact,
                     may_bound=fact.may_bound - {index},
                     must_bound=fact.must_bound - {index},
                 )
             return
-        for tid in threads:
+        # only spawn sites are known threads; an untracked expression
+        # may well be bound somewhere this scope cannot see
+        for tid in threads & set(self.objs):
             fact = self.objs[tid]
-            if index not in fact.must_bound:
+            if tid.startswith("thread@") and index not in fact.must_bound:
                 qualifier = (
                     "on some path" if index in fact.may_bound
                     else "on any path"
                 )
                 self.analysis.report(
-                    "PL403", tid,
+                    "PL403", tid, node,
                     f"{method}(thread, {index}): counter {index} is not "
                     f"bound to this thread {qualifier} reaching this call",
                     hint="os.bind_counter(thread, index) must dominate "
@@ -635,11 +723,11 @@ class _StmtInterpreter:
             return
         owners = [
             tid for tid, fact in self.objs.items()
-            if is_thread(tid) and index in fact.may_bound
+            if tid.startswith("thread@") and index in fact.may_bound
         ]
         if owners:
             self.analysis.report(
-                "PL402", owners[0],
+                "PL402", owners[0], node,
                 f"direct PMU {method}({index}) of a counter that is "
                 f"bound to a thread; migration may have re-homed it to "
                 f"another CPU's PMU",
@@ -652,6 +740,10 @@ class _StmtInterpreter:
     def _function_call(
         self, name: str, node: ast.Call, argvals
     ) -> FrozenSet[str]:
+        if name == "HighLevel" and node.args:
+            oid = highlevel_id(node.lineno, node.col_offset)
+            self.objs[oid] = _created()
+            return frozenset({oid})
         summary = self.analysis.summaries.get(name)
         if summary is None:
             # unknown callee: anything it got may end up in any state
@@ -673,9 +765,9 @@ class _StmtInterpreter:
                 self._apply_summary_effect(name, oid, effects, node)
 
         if summary.returns_states is not None:
-            oid = eventset_id(node.lineno, node.col_offset)
+            oid = returned_id(node.lineno, node.col_offset)
             self.objs[oid] = ObjFact(states=frozenset(
-                (s, False) for s in summary.returns_states
+                (s, False, False) for s in summary.returns_states
             ))
             return frozenset({oid})
         return frozenset()
@@ -693,12 +785,12 @@ class _StmtInterpreter:
             # completely unknown: havoc through the call, stay silent
             self.objs[oid] = replace(fact, states=UNKNOWN_ELEMENTS)
             return
-        new_states: Set[Tuple[str, bool]] = set()
+        new_states: Set[Tuple[str, bool, bool]] = set()
         reported: Set[Tuple[str, str]] = set()
         clean_states = frozenset(
             s for s in names if not effects[s].violations
         )
-        for s, via in fact.states:
+        for s, via, failed in fact.states:
             effect = effects[s]
             for rule, method in effect.violations:
                 if (rule, method) in reported:
@@ -706,7 +798,7 @@ class _StmtInterpreter:
                 reported.add((rule, method))
                 if clean_states or self.analysis.must_mode:
                     self.analysis.report(
-                        rule, oid,
+                        rule, oid, node,
                         f"call to {fname}() performs {method}() on an "
                         f"EventSet that may be {s} here",
                         hint=f"{fname}() requires a different lifecycle "
@@ -715,8 +807,15 @@ class _StmtInterpreter:
                         method=method,
                     )
             for exit_state in effect.exit_states:
-                new_states.add((exit_state, via))
+                new_states.add((exit_state, via, failed))
         self.objs[oid] = replace(fact, states=frozenset(new_states))
+
+
+def _created() -> ObjFact:
+    return ObjFact(
+        states=frozenset({(CREATED, False, False)}),
+        attached=frozenset({UNATTACHED}),
+    )
 
 
 def eval_expr_values(

@@ -627,9 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--flow", action="store_true",
-        help="also run the CFG-based typestate pass (PL3xx/PL4xx: "
-             "path-sensitive lifecycle, leak-on-exception and SMP "
-             "misuse rules)",
+        help="also report the lifecycle analysis's path-dependent "
+             "findings (PL3xx/PL4xx: misuse on some paths, "
+             "leak-on-exception and SMP rules)",
     )
     p.add_argument(
         "--format", choices=["text", "json", "sarif"], default="text"

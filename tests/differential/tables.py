@@ -96,15 +96,6 @@ def _forced_create(engine: str) -> Callable:
     return wrapped
 
 
-def _tier(engine) -> str:
-    """Accept a tier name or the legacy block-engine boolean."""
-    if isinstance(engine, bool):
-        return "trace" if engine else "off"
-    if engine not in ("off", "block", "trace"):
-        raise ValueError(f"unknown engine tier {engine!r}")
-    return engine
-
-
 def _patch_targets(mod):
     """Modules whose import-time ``create`` binding must be overridden."""
     import repro.tools.profiler as profiler_mod
@@ -118,14 +109,13 @@ def _patch_targets(mod):
 def build_table(key: str, engine) -> Any:
     """Run one experiment at the given engine tier; canonical output.
 
-    *engine* is a tier name (``"off"``/``"block"``/``"trace"``); the
-    legacy boolean still works (True -> "trace", False -> "off").
+    *engine* is a tier name (``"off"``/``"block"``/``"trace"``).
     """
     mod = _load_bench(key)
     targets = _patch_targets(mod)
     saved = [t.create for t in targets]
     for t in targets:
-        t.create = _forced_create(_tier(engine))
+        t.create = _forced_create(engine)
     try:
         if key == "a3":
             raw = {

@@ -1,7 +1,7 @@
 """Block execution engine: partitioning, bit-exactness, replay, deadlines.
 
 Every test here checks the engine against the same ground truth: the
-pure interpreter (``block_engine=False``).  The contract under test is
+pure interpreter (``engine="off"``).  The contract under test is
 *bit-exactness* -- not "close", identical.
 """
 
@@ -25,8 +25,8 @@ from repro.hw.isa import Op
 def machine_pair(**cfg):
     """A (engine-off, engine-on) machine pair with identical configs."""
     base = MachineConfig(**cfg)
-    off = Machine(dataclasses.replace(base, block_engine=False))
-    on = Machine(dataclasses.replace(base, block_engine=True))
+    off = Machine(dataclasses.replace(base, engine="off"))
+    on = Machine(dataclasses.replace(base, engine="trace"))
     return off, on
 
 

@@ -1,6 +1,6 @@
 """Unit tests: the AST API-misuse checker (PL0xx rules)."""
 
-from repro.lint import Severity, lint_source
+from repro.lint import Severity, lint_file, lint_source
 
 PRELUDE = """\
 from repro.core.library import Papi
@@ -430,6 +430,14 @@ class TestEngine:
         result = lint("def broken(:\n")
         assert [d.code for d in result] == ["PL900"]
         assert result[0].line == 1
+
+    def test_undecodable_file_is_pl900(self, tmp_path):
+        path = tmp_path / "latin1.py"
+        path.write_bytes(b"x = 1  # \xff\n")
+        for flow in (False, True):
+            result = lint_file(str(path), flow=flow)
+            assert [d.code for d in result] == ["PL900"]
+            assert "cannot decode" in result[0].message
 
     def test_functions_are_linted_as_scopes(self):
         src = (

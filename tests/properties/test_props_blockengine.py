@@ -96,14 +96,14 @@ instrumentation = st.fixed_dictionaries({
 })
 
 
-def run_one(prog, inst, block_engine: bool):
+def run_one(prog, inst, engine: str):
     config = MachineConfig(
         seed=inst["seed"],
         pmu=PMUConfig(
             skid_max=inst["skid_max"],
             has_profileme=inst["sample_period"] is not None,
         ),
-        block_engine=block_engine,
+        engine=engine,
     )
     m = Machine(config)
     m.load(prog)
@@ -156,7 +156,7 @@ class TestEngineEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_engine_on_off_identical(self, segs, inst):
         prog = build_program(segs)
-        off = run_one(prog, inst, block_engine=False)
-        on = run_one(prog, inst, block_engine=True)
+        off = run_one(prog, inst, engine="off")
+        on = run_one(prog, inst, engine="trace")
         for key in off:
             assert off[key] == on[key], key

@@ -111,7 +111,8 @@ def build_program(segs):
 def test_oracle_matches_simulator(segs, platform, engine, ncpus):
     program = build_program(segs)
     expected = expected_signal_counts(program)
-    substrate = create(platform, block_engine=engine, ncpus=ncpus)
+    substrate = create(platform, engine="trace" if engine else "off",
+                       ncpus=ncpus)
     if ncpus == 1:
         substrate.machine.load(program)
         substrate.machine.run_to_completion()
