@@ -39,6 +39,16 @@ forms:
   segments that dispatch the probe handler and side-exit if the handler
   perturbed the machine (stop flag, PMU arming, program rewrite).
 
+All three forms generate their code through one emitter, ``_Emitter``,
+the single place that writes out the interpreter's effect order (fetch,
+retirement counts, faults, hierarchy accesses, branch resolution); the
+compilers add only control transfers and function frames.  Blocks and
+traces share one block-fn calling convention and run through one engine
+step (``BlockEngine._run_block``).  Only traces and regions, which heat
+has promoted, open-code the warm instruction-fetch MRU check; blocks are
+compiled on first visit and keep the plain ``inst_fetch`` call, because
+most run too few times to repay the larger generated code.
+
 Correctness contract: a run with the engine enabled is **bit-exact**
 with the interpreter -- identical ``counts[]``, cache/TLB state and
 statistics, RNG stream, architectural state, fault behaviour and
@@ -177,6 +187,8 @@ class BasicBlock:
     loop: Optional[LoopInfo] = None
     #: ends without a control transfer (next block starts at start+n_ins).
     falls_through: bool = False
+    #: a superblock trace (counted in ``EngineStats.trace_replays``).
+    trace: bool = False
     #: consecutive unsteady trials; replay is suspended past the limit.
     fails: int = 0
     fail_epoch: int = -1
@@ -325,12 +337,14 @@ class _EmitUnsupported(Exception):
 
 
 class _Emitter:
-    """Shared straight-line emitter for trace/region code generation.
+    """The one code generator for blocks, traces and regions.
 
-    Replicates the effect ordering of :meth:`BlockCompiler.compile_block`
-    -- fetch, retirement counts, then the op effect, with pending count
-    merging flushed before every observable point -- so traces and
-    regions stay bit-exact with blocks and the interpreter.
+    Emits the interpreter's effect order for each instruction -- fetch,
+    retirement counts, then the op effect -- with static count updates
+    merged into a pending batch that is flushed before every point where
+    ``counts[]`` can be observed (memory access and its EAR callbacks,
+    fault raises, branch resolution, block exit).  The callers own the
+    control transfer of each terminator and the function frame.
     """
 
     def __init__(
@@ -340,6 +354,7 @@ class _Emitter:
         il_var: str = "cur_iline",
         track_il: bool = False,
         defer: bool = False,
+        warm_fetch: bool = False,
     ) -> None:
         self.c = compiler
         self.depth = depth
@@ -353,6 +368,12 @@ class _Emitter:
         #: exit flush applies as batched multiply-adds.  Fault raises
         #: get a cold inline flush (see :meth:`emit_fault_guard`).
         self.defer = defer
+        #: open-code the warm-fetch MRU check (see :meth:`emit_fetch`).
+        #: Only heat-promoted traces and regions use it.  Blocks are
+        #: compiled on first visit and most run too few times to repay
+        #: the larger generated code (measured slower end to end on the
+        #: reload-heavy papid read loop; see DESIGN.md).
+        self.warm_fetch = warm_fetch
         #: extra indent applied by :meth:`emit` on top of ``depth``;
         #: region codegen bumps this while inlining branch arms.
         self.extra = 0
@@ -404,7 +425,7 @@ class _Emitter:
         self.emit("    " + raise_stmt)
 
     def emit_memory(self, pc: int, op: int, a: int, b: int, d: int) -> None:
-        """Memory access mirroring ``BlockCompiler._emit_memory``.
+        """One data access: bounds fault, hierarchy access, op effect.
 
         The dynamic parts (miss paths, penalties) are always written
         directly -- they commute with deferred static adds because
@@ -460,32 +481,34 @@ class _Emitter:
             pad = "    "
         if self.track_il:
             self.emit(f"{pad}il = {il}")
-        # warm-fetch fast path: the line index equals il (both are the
-        # byte address >> L1I line bits), so the target set is known at
-        # compile time and its ways list can be bound as a global.  When
-        # the line is already the MRU way, ``Cache.access`` reduces to
-        # ``hits += 1`` with no reordering -- open-code exactly that and
-        # fall back to the real ``inst_fetch`` otherwise (cold lines,
-        # non-MRU hits, evictions by pollution).
-        w = f"_iw{il}"
-        self.fetch_globals[w] = c._l1i._sets[il & c._l1i._set_mask]
-        self.fetch_globals["_l1i"] = c._l1i
         # an unconditional fetch runs exactly once per pass, so its
         # L1I_ACC signal count is static: it joins the batched per-pass
         # vector (defer mode) or the pending batch (direct mode).  A
         # conditional (entry) fetch may be skipped and stays direct.
-        static_acc = not conditional
-        if static_acc:
+        acc = f"counts[{_S.L1I_ACC}] += 1"
+        if not conditional:
             self.add_pending(_S.L1I_ACC)
-        self.emit(f"{pad}if {w} and {w}[-1] == {il}:")
-        self.emit(f"{pad}    _l1i.hits += 1")
-        if not static_acc:
-            self.emit(f"{pad}    counts[{_S.L1I_ACC}] += 1")
-        self.emit(f"{pad}else:")
-        pad += "    "
+        if self.warm_fetch:
+            # warm-fetch fast path: the line index equals il (both are
+            # the byte address >> L1I line bits), so the target set is
+            # known at compile time and its ways list can be bound as a
+            # global.  When the line is already the MRU way,
+            # ``Cache.access`` reduces to ``hits += 1`` with no
+            # reordering -- open-code exactly that and fall back to the
+            # real ``inst_fetch`` otherwise (cold lines, non-MRU hits,
+            # evictions by pollution).
+            w = f"_iw{il}"
+            self.fetch_globals[w] = c._l1i._sets[il & c._l1i._set_mask]
+            self.fetch_globals["_l1i"] = c._l1i
+            self.emit(f"{pad}if {w} and {w}[-1] == {il}:")
+            self.emit(f"{pad}    _l1i.hits += 1")
+            if conditional:
+                self.emit(f"{pad}    {acc}")
+            self.emit(f"{pad}else:")
+            pad += "    "
         self.emit(f"{pad}_fl, _i1m, _il2m = inst_fetch({pc * INS_BYTES})")
-        if not static_acc:
-            self.emit(f"{pad}counts[{_S.L1I_ACC}] += 1")
+        if conditional:
+            self.emit(f"{pad}{acc}")
         self.emit(f"{pad}if _i1m:")
         self.emit(f"{pad}    counts[{_S.L1I_MISS}] += 1")
         self.emit(f"{pad}    counts[{_S.L2_ACC}] += 1")
@@ -504,13 +527,21 @@ class _Emitter:
         md[_S.STL_CYC] += c._fetch_worst
         self.max_cyc += c._fetch_worst
 
+    def steady_fetches(self, il_last: int) -> int:
+        """Fetches of one pass entered from the cycle's own back edge.
+
+        Every emitted fetch but the conditional entry one, plus the entry
+        one when the pass ends on a different line than it starts.
+        """
+        return (self.n_fetches - 1) + (1 if self.il_first != il_last else 0)
+
     def emit_ins(self, pc: int, ins: tuple, first: bool) -> None:
         """Emit one instruction's effects (control transfer excluded).
 
         For BRANCH/JMP/CALL/RET/PROBE this applies the fetch and the
         retirement/class counts; the caller emits the transfer (and, for
-        branches, calls :meth:`emit_branch_calls` /
-        :meth:`emit_branch_inline` for the resolution).
+        branches, the resolution: :meth:`emit_branch_calls` or
+        :meth:`emit_branch_arms`).
         """
         c = self.c
         op, a, b, cc, d = ins
@@ -633,58 +664,110 @@ class _Emitter:
         self.emit(f"    counts[{_S.TOT_CYC}] += {bp}")
         self.emit(f"    counts[{_S.STL_CYC}] += {bp}")
 
-    def emit_branch_inline(
-        self, pc: int, op: int, a: int, b: int, spec: tuple
-    ) -> None:
-        """Resolve a branch with the predictor open-coded (regions).
+    def emit_branch_arms(
+        self, pc: int, owner: int, op: int, a: int, b: int, spec
+    ) -> Tuple[str, List[str], List[str], str]:
+        """Resolve a branch whose transfer the caller folds into arms.
 
-        *spec* comes from ``BranchPredictor.inline_spec``; the emitted
-        code reproduces predict()+update() exactly, including table
-        aliasing through ``pc & mask``.
+        Regions use this: *spec* is ``BranchPredictor.inline_spec()``
+        (the predictor open-coded, including table aliasing through
+        ``pc & mask``) or None for the predict/update calls.  Emits the
+        shared prefix and returns ``(cond, taken_pre, fall_pre, kind)``:
+        the caller's ``if`` condition, the lines each arm runs before
+        its transfer, and how the defer-mode exit flush derives
+        mispredicts -- ``"m"`` from the ``m<pc>_<owner>`` counter,
+        ``"static"`` as every not-taken pass.
         """
-        kind, _state, mask = spec
         bp = self.c._branch_penalty
+        cmp_ = self._CMP[op]
         self.flush_pending()
-        self.emit(f"_t = iregs[{a}] {self._CMP[op]} iregs[{b}]")
-        if kind == "static":
-            # always predicts taken: mispredict exactly when not taken.
-            self.emit("if _t:")
-            self.emit(f"    counts[{_S.BR_TKN}] += 1")
-            self.emit("else:")
-            self.emit(f"    counts[{_S.BR_NTK}] += 1")
-            self.emit(f"    counts[{_S.BR_MSP}] += 1")
-            self.emit(f"    counts[{_S.TOT_CYC}] += {bp}")
-            self.emit(f"    counts[{_S.STL_CYC}] += {bp}")
-        else:  # twobit
-            idx = pc & mask
+        cond = f"iregs[{a}] {cmp_} iregs[{b}]"
+        if spec is None:
+            self.emit(f"_t = {cond}")
+            cond = "_t"
+            self.emit(f"_p = predict({pc})")
+            self.emit(f"pred_update({pc}, _t)")
+            self.emit("if _p != _t:")
+            if self.defer:
+                self.emit(f"    m{pc}_{owner} += 1")
+            else:
+                self.emit(f"    counts[{_S.BR_MSP}] += 1")
+                self.emit(f"    counts[{_S.TOT_CYC}] += {bp}")
+                self.emit(f"    counts[{_S.STL_CYC}] += {bp}")
+            taken_pre: List[str] = (
+                [f"t{pc}_{owner} += 1"] if self.defer
+                else [f"counts[{_S.BR_TKN}] += 1"]
+            )
+            fall_pre: List[str] = (
+                [] if self.defer else [f"counts[{_S.BR_NTK}] += 1"]
+            )
+            kind = "m"
+        elif spec[0] == "static":
+            taken_pre = (
+                [f"t{pc}_{owner} += 1"] if self.defer
+                else [f"counts[{_S.BR_TKN}] += 1"]
+            )
+            fall_pre = (
+                [] if self.defer else [
+                    f"counts[{_S.BR_NTK}] += 1",
+                    f"counts[{_S.BR_MSP}] += 1",
+                    f"counts[{_S.TOT_CYC}] += {bp}",
+                    f"counts[{_S.STL_CYC}] += {bp}",
+                ]
+            )
+            kind = "static"
+        else:
+            # twobit; the mispredict check nests inside the
+            # table-update check (_s < 2 implies _s < 3, _s >= 2
+            # implies _s > 0), so saturated steady branches pay one
+            # comparison, not two.
+            idx = pc & spec[2]
             self.emit(f"_s = _bt[{idx}]")
-            self.emit("if _t:")
-            self.emit(f"    counts[{_S.BR_TKN}] += 1")
-            self.emit("    if _s < 3:")
-            self.emit(f"        _bt[{idx}] = _s + 1")
-            self.emit("    if _s < 2:")
-            self.emit(f"        counts[{_S.BR_MSP}] += 1")
-            self.emit(f"        counts[{_S.TOT_CYC}] += {bp}")
-            self.emit(f"        counts[{_S.STL_CYC}] += {bp}")
-            self.emit("else:")
-            self.emit(f"    counts[{_S.BR_NTK}] += 1")
-            self.emit("    if _s > 0:")
-            self.emit(f"        _bt[{idx}] = _s - 1")
-            self.emit("    if _s >= 2:")
-            self.emit(f"        counts[{_S.BR_MSP}] += 1")
-            self.emit(f"        counts[{_S.TOT_CYC}] += {bp}")
-            self.emit(f"        counts[{_S.STL_CYC}] += {bp}")
+            if self.defer:
+                taken_pre = [
+                    f"t{pc}_{owner} += 1",
+                    "if _s < 3:",
+                    f"    _bt[{idx}] = _s + 1",
+                    "    if _s < 2:",
+                    f"        m{pc}_{owner} += 1",
+                ]
+                fall_pre = [
+                    "if _s > 0:",
+                    f"    _bt[{idx}] = _s - 1",
+                    "    if _s >= 2:",
+                    f"        m{pc}_{owner} += 1",
+                ]
+            else:
+                taken_pre = [
+                    f"counts[{_S.BR_TKN}] += 1",
+                    "if _s < 3:",
+                    f"    _bt[{idx}] = _s + 1",
+                    "    if _s < 2:",
+                    f"        counts[{_S.BR_MSP}] += 1",
+                    f"        counts[{_S.TOT_CYC}] += {bp}",
+                    f"        counts[{_S.STL_CYC}] += {bp}",
+                ]
+                fall_pre = [
+                    f"counts[{_S.BR_NTK}] += 1",
+                    "if _s > 0:",
+                    f"    _bt[{idx}] = _s - 1",
+                    "    if _s >= 2:",
+                    f"        counts[{_S.BR_MSP}] += 1",
+                    f"        counts[{_S.TOT_CYC}] += {bp}",
+                    f"        counts[{_S.STL_CYC}] += {bp}",
+                ]
+            kind = "m"
+
+        return cond, taken_pre, fall_pre, kind
 
 
 class BlockCompiler:
-    """Generates the per-block executor functions.
+    """Builds blocks, superblock traces and regions from resolved code.
 
-    The generated source replicates the interpreter's effect ordering
-    instruction for instruction.  Count updates of consecutive simple ALU
-    instructions are merged into a single segment; every observable point
-    (memory access, fault check, EAR callback, branch resolution) flushes
-    the pending segment first, so ``counts[]`` is exact whenever foreign
-    code can run or an exception can propagate.
+    Partitioning, trace/region formation and loop analysis live here;
+    every instruction's code is generated by :class:`_Emitter`, and this
+    class adds only the terminators' control transfers and the function
+    frames.
     """
 
     def __init__(self, cpu) -> None:
@@ -695,8 +778,8 @@ class BlockCompiler:
         self._iline_shift = hcfg.l1i.line_bits
         self._page_shift = hcfg.tlb.page_bits
         #: the L1I cache object, for the open-coded warm-fetch fast path
-        #: (trace/region codegen peeks the MRU way of the statically
-        #: known set before paying for a full ``inst_fetch`` call).
+        #: (trace/region code peeks the MRU way of the statically known
+        #: set before paying for a full ``inst_fetch`` call).
         self._l1i = cpu.hierarchy.l1i
         #: worst-case extra cycles for one data access / one fetch.
         self._mem_worst = hcfg.tlb_walk_latency + hcfg.l2_latency + hcfg.mem_latency
@@ -730,247 +813,67 @@ class BlockCompiler:
         instrs = self.scan_block(code, start)
         if not instrs:
             return None
-        last_op = instrs[-1][0]
-        if last_op not in BRANCH_OPS and last_op not in (Op.JMP, Op.CALL, Op.RET):
+        e = _Emitter(self)
+        for i, ins in enumerate(instrs):
+            e.emit_ins(start + i, ins, first=(i == 0))
+        pc = start + len(instrs) - 1
+        op, a, b, c, _d = instrs[-1]
+        il_last = (pc * INS_BYTES) >> self._iline_shift
+        falls_through = False
+        if op in BRANCH_OPS:
+            e.emit_branch_calls(pc, op, a, b)
+            e.emit(f"return ({c} if _t else {pc + 1}), {il_last}")
+        elif op == Op.JMP or op == Op.CALL:
+            e.flush_pending()
+            if op == Op.CALL:
+                e.emit(f"call_stack.append({pc + 1})")
+            e.emit(f"return {a}, {il_last}")
+        elif op == Op.RET:
+            e.emit_fault_guard(
+                "if not call_stack:",
+                f'raise MachineFault("pc {pc}: RET with empty call stack")',
+            )
+            e.emit(f"return call_stack.pop(), {il_last}")
+        else:
             # fall-through block (next pc may be past the end; the slow
             # path then raises the same "pc out of range" fault).
-            pass
-
-        lines: List[str] = []
-        pending: Dict[int, int] = {}
-        md = [0] * Signal.N_SIGNALS
-        max_cyc = 0
-        n_fetches = 0
-
-        def emit(text: str) -> None:
-            lines.append("    " + text)
-
-        def add_pending(sig: int, n: int = 1) -> None:
-            pending[sig] = pending.get(sig, 0) + n
-
-        def flush_pending() -> None:
-            for sig, n in pending.items():
-                emit(f"counts[{sig}] += {n}")
-            pending.clear()
-
-        def emit_fetch(pc: int, conditional: bool) -> None:
-            nonlocal max_cyc, n_fetches
-            il = (pc * INS_BYTES) >> self._iline_shift
-            pad = ""
-            if conditional:
-                emit(f"if cur_iline != {il}:")
-                pad = "    "
-            emit(f"{pad}_fl, _i1m, _il2m = inst_fetch({pc * INS_BYTES})")
-            emit(f"{pad}counts[{_S.L1I_ACC}] += 1")
-            emit(f"{pad}if _i1m:")
-            emit(f"{pad}    counts[{_S.L1I_MISS}] += 1")
-            emit(f"{pad}    counts[{_S.L2_ACC}] += 1")
-            emit(f"{pad}    if _il2m:")
-            emit(f"{pad}        counts[{_S.L2_MISS}] += 1")
-            emit(f"{pad}if _fl:")
-            emit(f"{pad}    counts[{_S.TOT_CYC}] += _fl")
-            emit(f"{pad}    counts[{_S.STL_CYC}] += _fl")
-            n_fetches += 1
-            md[_S.L1I_ACC] += 1
-            md[_S.L1I_MISS] += 1
-            md[_S.L2_ACC] += 1
-            md[_S.L2_MISS] += 1
-            md[_S.TOT_CYC] += self._fetch_worst
-            md[_S.STL_CYC] += self._fetch_worst
-            max_cyc += self._fetch_worst
-
-        lat = self._lat
-        il_prev = None
-        il_start = (start * INS_BYTES) >> self._iline_shift
-        for i, ins in enumerate(instrs):
-            pc = start + i
-            op, a, b, c, d = ins
-            il = (pc * INS_BYTES) >> self._iline_shift
-            if i == 0:
-                emit_fetch(pc, conditional=True)
-            elif il != il_prev:
-                flush_pending()
-                emit_fetch(pc, conditional=False)
-            il_prev = il
-
-            md[_S.TOT_INS] += 1
-            md[_S.TOT_CYC] += lat[op]
-            max_cyc += lat[op]
-
-            simple = _SIMPLE_EFFECTS.get(op)
-            if simple is not None:
-                sigs, template = simple
-                add_pending(_S.TOT_INS)
-                add_pending(_S.TOT_CYC, lat[op])
-                for sig in sigs:
-                    add_pending(sig)
-                    md[sig] += 1
-                if template:
-                    emit(template.format(a=a, b=b, c=c, d=repr(d)))
-                continue
-
-            # every remaining opcode is an observable point: apply its
-            # retirement counts in interpreter order, before any fault
-            # check or hierarchy access.
-            add_pending(_S.TOT_INS)
-            add_pending(_S.TOT_CYC, lat[op])
-            if op in (Op.LOAD, Op.FLOAD, Op.STORE, Op.FSTORE):
-                flush_pending()
-                self._emit_memory(emit, pc, op, a, b, d)
-                md[_S.LD_INS if op in (Op.LOAD, Op.FLOAD) else _S.SR_INS] += 1
-                md[_S.L1D_ACC] += 1
-                md[_S.L1D_MISS] += 1
-                md[_S.L2_ACC] += 1
-                md[_S.L2_MISS] += 1
-                md[_S.TLB_DM] += 1
-                md[_S.TOT_CYC] += self._mem_worst
-                md[_S.STL_CYC] += self._mem_worst
-                md[_S.MEM_RCY] += self._mem_worst
-                max_cyc += self._mem_worst
-            elif op == Op.DIV:
-                add_pending(_S.INT_INS)
-                md[_S.INT_INS] += 1
-                flush_pending()
-                emit(f"if iregs[{c}] == 0:")
-                emit(f'    raise MachineFault("pc {pc}: integer divide by zero")')
-                emit(f"_q = abs(iregs[{b}]) // abs(iregs[{c}])")
-                emit(
-                    f"iregs[{a}] = _q if (iregs[{b}] < 0) == (iregs[{c}] < 0) else -_q"
-                )
-            elif op == Op.FDIV:
-                add_pending(_S.FP_DIV)
-                md[_S.FP_DIV] += 1
-                flush_pending()
-                emit(f"if fregs[{c}] == 0.0:")
-                emit(f'    raise MachineFault("pc {pc}: float divide by zero")')
-                emit(f"fregs[{a}] = fregs[{b}] / fregs[{c}]")
-            elif op == Op.FSQRT:
-                add_pending(_S.FP_SQRT)
-                md[_S.FP_SQRT] += 1
-                flush_pending()
-                emit(f"if fregs[{b}] < 0.0:")
-                emit(f'    raise MachineFault("pc {pc}: sqrt of negative value")')
-                emit(f"fregs[{a}] = fregs[{b}] ** 0.5")
-            elif op in BRANCH_OPS:
-                add_pending(_S.BR_INS)
-                add_pending(_S.BR_CN)
-                md[_S.BR_INS] += 1
-                md[_S.BR_CN] += 1
-                md[_S.BR_TKN] += 1
-                md[_S.BR_NTK] += 1
-                md[_S.BR_MSP] += 1
-                md[_S.TOT_CYC] += self._branch_penalty
-                md[_S.STL_CYC] += self._branch_penalty
-                max_cyc += self._branch_penalty
-                flush_pending()
-                cmp_op = {Op.BLT: "<", Op.BGE: ">=", Op.BEQ: "==", Op.BNE: "!="}[op]
-                emit(f"_t = iregs[{a}] {cmp_op} iregs[{b}]")
-                emit(f"_p = predict({pc})")
-                emit(f"pred_update({pc}, _t)")
-                emit("if _t:")
-                emit(f"    counts[{_S.BR_TKN}] += 1")
-                emit("else:")
-                emit(f"    counts[{_S.BR_NTK}] += 1")
-                emit("if _p != _t:")
-                emit(f"    counts[{_S.BR_MSP}] += 1")
-                emit(f"    counts[{_S.TOT_CYC}] += {self._branch_penalty}")
-                emit(f"    counts[{_S.STL_CYC}] += {self._branch_penalty}")
-                emit(f"return ({c} if _t else {pc + 1}), {il}")
-            elif op == Op.JMP:
-                add_pending(_S.BR_INS)
-                md[_S.BR_INS] += 1
-                flush_pending()
-                emit(f"return {a}, {il}")
-            elif op == Op.CALL:
-                add_pending(_S.BR_INS)
-                add_pending(_S.CALL_INS)
-                md[_S.BR_INS] += 1
-                md[_S.CALL_INS] += 1
-                flush_pending()
-                emit(f"call_stack.append({pc + 1})")
-                emit(f"return {a}, {il}")
-            elif op == Op.RET:
-                add_pending(_S.BR_INS)
-                add_pending(_S.RET_INS)
-                md[_S.BR_INS] += 1
-                md[_S.RET_INS] += 1
-                flush_pending()
-                emit("if not call_stack:")
-                emit(f'    raise MachineFault("pc {pc}: RET with empty call stack")')
-                emit(f"return call_stack.pop(), {il}")
-            else:  # pragma: no cover - BLOCK_BREAK_OPS never reach here
-                return None
-
-        last_pc = start + len(instrs) - 1
-        il_last = (last_pc * INS_BYTES) >> self._iline_shift
-        last_op = instrs[-1][0]
-        falls_through = last_op not in BRANCH_OPS and last_op not in (
-            Op.JMP, Op.CALL, Op.RET
-        )
-        if falls_through:
-            flush_pending()
-            emit(f"return {last_pc + 1}, {il_last}")
-
-        src = (
-            "def _block(counts, iregs, fregs, memory, mem_len, call_stack,\n"
-            "           data_access, inst_fetch, predict, pred_update, pmu,\n"
-            "           touched, data_base, cur_iline):\n"
-            + "\n".join(lines)
-            + "\n"
-        )
-        ns: Dict[str, object] = {}
-        exec(compile(src, f"<block@{start}>", "exec"), dict(self._globals), ns)
-        fn = ns["_block"]
-
-        block = BasicBlock(
-            start=start,
-            n_ins=len(instrs),
-            fn=fn,
-            il_last=il_last,
-            max_cyc=max_cyc,
-            max_deltas=md,
-            falls_through=falls_through,
-        )
-        block.loop = self._analyze_loop(instrs, start, n_fetches, il_start, il_last)
+            falls_through = True
+            e.flush_pending()
+            e.emit(f"return {pc + 1}, {il_last}")
+        block = self._make_block(e, start, len(instrs), il_last)
+        block.falls_through = falls_through
+        if op in BRANCH_OPS and c == start:
+            block.loop = self._analyze_cycle(
+                instrs[:-1], instrs[-1], pc, e.steady_fetches(il_last)
+            )
         return block
 
-    def _emit_memory(self, emit, pc: int, op: int, a: int, b: int, d: int) -> None:
-        is_load = op in (Op.LOAD, Op.FLOAD)
-        word = "load" if is_load else "store"
-        emit(f"_ad = iregs[{b}] + {d}")
-        emit("if not 0 <= _ad < mem_len:")
-        emit(
-            "    raise MachineFault("
-            f"f\"pc {pc}: {word} address {{_ad}} out of range\")"
+    def _make_block(
+        self, e: _Emitter, start: int, n_ins: int, il_last: int,
+        trace: bool = False,
+    ) -> BasicBlock:
+        """Compile *e*'s lines into a block-fn and wrap it as a block."""
+        name = "_trace" if trace else "_block"
+        src = (
+            f"def {name}(counts, iregs, fregs, memory, mem_len, call_stack,\n"
+            "           data_access, inst_fetch, predict, pred_update, pmu,\n"
+            "           touched, data_base, cur_iline):\n"
+            + "\n".join(e.lines)
+            + "\n"
         )
-        emit(f"_ba = _ad * {WORD_BYTES} + data_base")
-        emit("_pen, _l1m, _l2m, _tlbm = data_access(_ba)")
-        emit(f"counts[{_S.LD_INS if is_load else _S.SR_INS}] += 1")
-        emit(f"counts[{_S.L1D_ACC}] += 1")
-        emit("if _l1m:")
-        emit(f"    counts[{_S.L1D_MISS}] += 1")
-        emit(f"    counts[{_S.L2_ACC}] += 1")
-        emit("    if _l2m:")
-        emit(f"        counts[{_S.L2_MISS}] += 1")
-        emit("    if pmu is not None and pmu.ear_active:")
-        emit(f"        pmu.ear_miss({pc}, _ba, counts[{_S.TOT_CYC}], \"l1d_miss\")")
-        emit("if _tlbm:")
-        emit(f"    counts[{_S.TLB_DM}] += 1")
-        emit(f"    touched.add(_ba >> {self._page_shift})")
-        emit("    if pmu is not None and pmu.ear_active:")
-        emit(f"        pmu.ear_miss({pc}, _ba, counts[{_S.TOT_CYC}], \"tlb_miss\")")
-        emit("if _pen:")
-        emit(f"    counts[{_S.TOT_CYC}] += _pen")
-        emit(f"    counts[{_S.STL_CYC}] += _pen")
-        emit(f"    counts[{_S.MEM_RCY}] += _pen")
-        if op == Op.LOAD:
-            emit(f"iregs[{a}] = int(memory[_ad])")
-        elif op == Op.FLOAD:
-            emit(f"fregs[{a}] = float(memory[_ad])")
-        elif op == Op.STORE:
-            emit(f"memory[_ad] = iregs[{a}]")
-        else:
-            emit(f"memory[_ad] = fregs[{a}]")
+        g = dict(self._globals)
+        g.update(e.fetch_globals)
+        ns: Dict[str, object] = {}
+        exec(compile(src, f"<{name[1:]}@{start}>", "exec"), g, ns)
+        return BasicBlock(
+            start=start,
+            n_ins=n_ins,
+            fn=ns[name],
+            il_last=il_last,
+            max_cyc=e.max_cyc,
+            max_deltas=e.md,
+            trace=trace,
+        )
 
     # -- superblock traces ----------------------------------------------
 
@@ -1028,7 +931,7 @@ class BlockCompiler:
         path = self.trace_path(code, head)
         if path is None or len(path) < 2:
             return None
-        e = _Emitter(self)
+        e = _Emitter(self, warm_fetch=True)
         last = len(path) - 1
         for i, (pc, ins) in enumerate(path):
             e.emit_ins(pc, ins, first=(i == 0))
@@ -1045,29 +948,10 @@ class BlockCompiler:
         e.emit_branch_calls(tpc, tins[0], tins[1], tins[2])
         il_last = (tpc * INS_BYTES) >> self._iline_shift
         e.emit(f"return ({head} if _t else {tpc + 1}), {il_last}")
-
-        src = (
-            "def _trace(counts, iregs, fregs, memory, mem_len, call_stack,\n"
-            "           data_access, inst_fetch, predict, pred_update, pmu,\n"
-            "           touched, data_base, cur_iline):\n"
-            + "\n".join(e.lines)
-            + "\n"
-        )
-        ns: Dict[str, object] = {}
-        g = dict(self._globals)
-        g.update(e.fetch_globals)
-        exec(compile(src, f"<trace@{head}>", "exec"), g, ns)
-        block = BasicBlock(
-            start=head,
-            n_ins=len(path),
-            fn=ns["_trace"],
-            il_last=il_last,
-            max_cyc=e.max_cyc,
-            max_deltas=e.md,
-        )
-        steady = (e.n_fetches - 1) + (1 if e.il_first != il_last else 0)
+        block = self._make_block(e, head, len(path), il_last, trace=True)
         block.loop = self._analyze_cycle(
-            [ins for _pc, ins in path[:last]], tins, tpc, steady
+            [ins for _pc, ins in path[:last]], tins, tpc,
+            e.steady_fetches(il_last),
         )
         return block
 
@@ -1205,32 +1089,20 @@ class BlockCompiler:
         )
 
         # -- static transfer edges, for superblock inlining ----------
+        # a CALL member's continuation is in its ``succs`` but is reached
+        # through a RET, not by a direct edge.
         call_conts: Set[int] = set()
         has_ret = False
-        edges: Dict[int, List[int]] = {}
+        indeg: Dict[int, int] = {s: 0 for s in member_set}
         for s in order:
-            kind, instrs, _succs = info[s]
-            if kind == "probe":
-                edges[s] = [s + 1]
-                continue
-            lpc = s + len(instrs) - 1
-            term = instrs[-1]
-            lop = term[0]
-            if lop in BRANCH_OPS:
-                edges[s] = [term[3], lpc + 1]
-            elif lop == Op.JMP:
-                edges[s] = [term[1]]
-            elif lop == Op.CALL:
-                call_conts.add(lpc + 1)
-                edges[s] = [term[1]]
+            _kind, instrs, succs = info[s]
+            lop = instrs[-1][0]
+            if lop == Op.CALL:
+                call_conts.add(succs[1])
+                succs = succs[:1]
             elif lop == Op.RET:
                 has_ret = True
-                edges[s] = []
-            else:
-                edges[s] = [lpc + 1]
-        indeg: Dict[int, int] = {s: 0 for s in member_set}
-        for s, ts in edges.items():
-            for t in ts:
+            for t in succs:
                 if t in indeg:
                     indeg[t] += 1
         # RET targets are reached dynamically; they must keep a
@@ -1328,84 +1200,9 @@ class BlockCompiler:
             taken: int, fall: int, acc: int,
         ) -> None:
             """Branch resolution with the transfer folded into the arms."""
-            cmp_ = _Emitter._CMP[op]
-            em.flush_pending()
-            cond = f"iregs[{a}] {cmp_} iregs[{b}]"
-            if spec is None:
-                em.emit(f"_t = {cond}")
-                cond = "_t"
-                em.emit(f"_p = predict({bpc})")
-                em.emit(f"pred_update({bpc}, _t)")
-                em.emit("if _p != _t:")
-                if defer:
-                    em.emit(f"    m{bpc}_{owner} += 1")
-                else:
-                    em.emit(f"    counts[{_S.BR_MSP}] += 1")
-                    em.emit(f"    counts[{_S.TOT_CYC}] += {bp}")
-                    em.emit(f"    counts[{_S.STL_CYC}] += {bp}")
-                taken_pre: List[str] = (
-                    [f"t{bpc}_{owner} += 1"] if defer
-                    else [f"counts[{_S.BR_TKN}] += 1"]
-                )
-                fall_pre: List[str] = (
-                    [] if defer else [f"counts[{_S.BR_NTK}] += 1"]
-                )
-                kindb = "m"
-            elif spec[0] == "static":
-                taken_pre = (
-                    [f"t{bpc}_{owner} += 1"] if defer
-                    else [f"counts[{_S.BR_TKN}] += 1"]
-                )
-                fall_pre = (
-                    [] if defer else [
-                        f"counts[{_S.BR_NTK}] += 1",
-                        f"counts[{_S.BR_MSP}] += 1",
-                        f"counts[{_S.TOT_CYC}] += {bp}",
-                        f"counts[{_S.STL_CYC}] += {bp}",
-                    ]
-                )
-                kindb = "static"
-            else:
-                # twobit; the mispredict check nests inside the
-                # table-update check (_s < 2 implies _s < 3, _s >= 2
-                # implies _s > 0), so saturated steady branches pay one
-                # comparison, not two.
-                idx = bpc & spec[2]
-                em.emit(f"_s = _bt[{idx}]")
-                if defer:
-                    taken_pre = [
-                        f"t{bpc}_{owner} += 1",
-                        "if _s < 3:",
-                        f"    _bt[{idx}] = _s + 1",
-                        "    if _s < 2:",
-                        f"        m{bpc}_{owner} += 1",
-                    ]
-                    fall_pre = [
-                        "if _s > 0:",
-                        f"    _bt[{idx}] = _s - 1",
-                        "    if _s >= 2:",
-                        f"        m{bpc}_{owner} += 1",
-                    ]
-                else:
-                    taken_pre = [
-                        f"counts[{_S.BR_TKN}] += 1",
-                        "if _s < 3:",
-                        f"    _bt[{idx}] = _s + 1",
-                        "    if _s < 2:",
-                        f"        counts[{_S.BR_MSP}] += 1",
-                        f"        counts[{_S.TOT_CYC}] += {bp}",
-                        f"        counts[{_S.STL_CYC}] += {bp}",
-                    ]
-                    fall_pre = [
-                        f"counts[{_S.BR_NTK}] += 1",
-                        "if _s > 0:",
-                        f"    _bt[{idx}] = _s - 1",
-                        "    if _s >= 2:",
-                        f"        counts[{_S.BR_MSP}] += 1",
-                        f"        counts[{_S.TOT_CYC}] += {bp}",
-                        f"        counts[{_S.STL_CYC}] += {bp}",
-                    ]
-                kindb = "m"
+            cond, taken_pre, fall_pre, kindb = em.emit_branch_arms(
+                bpc, owner, op, a, b, spec
+            )
             if defer:
                 branch_meta.append((bpc, owner, kindb))
             saved_il = em.il_prev
@@ -1522,7 +1319,10 @@ class BlockCompiler:
             s = queue[qi]
             qi += 1
             cur_root[0] = s
-            em = _Emitter(self, depth=4, il_var="il", track_il=True, defer=defer)
+            em = _Emitter(
+                self, depth=4, il_var="il", track_il=True, defer=defer,
+                warm_fetch=True,
+            )
             em.unit_nb = 0
             em.emitted_ins = 0
             emit_body(em, s, 0)
@@ -1650,23 +1450,6 @@ class BlockCompiler:
         )
 
     # -- static loop analysis -------------------------------------------
-
-    def _analyze_loop(
-        self,
-        instrs: List[tuple],
-        start: int,
-        n_fetches: int,
-        il_start: int,
-        il_last: int,
-    ) -> Optional[LoopInfo]:
-        """Classify a self-loop block for O(1) replay, or return None."""
-        term = instrs[-1]
-        if term[0] not in BRANCH_OPS or term[3] != start:
-            return None
-        steady = (n_fetches - 1) + (1 if il_start != il_last else 0)
-        return self._analyze_cycle(
-            instrs[:-1], term, start + len(instrs) - 1, steady
-        )
 
     def _analyze_cycle(
         self,
@@ -1985,7 +1768,7 @@ class BlockEngine:
             else:
                 trace = table.traces.get(pc)
                 if trace is not None:
-                    res = self._run_trace(trace, cur_iline, rem_ins, cyc_budget)
+                    res = self._run_block(trace, cur_iline, rem_ins, cyc_budget)
                     if res is not None:
                         return res
         block = table.blocks.get(pc)
@@ -2007,7 +1790,22 @@ class BlockEngine:
                 nxt = block.start + block.n_ins
                 table.leaders.add(nxt)
                 table.denied.discard(nxt)
+        res = self._run_block(block, cur_iline, rem_ins, cyc_budget)
+        if res is not None and self._trace_tier and res[0] < pc:
+            # back edge: count arrivals at the loop head and promote hot
+            # heads to a superblock trace or compiled region.
+            self._heat(table, res[0])
+        return res
 
+    def _run_block(
+        self, block: BasicBlock, cur_iline: int, rem_ins: int, cyc_budget: int
+    ) -> Optional[Tuple[int, int, int]]:
+        """Run one block or superblock trace, or decline at a deadline.
+
+        A self-loop block or trace whose pass returns to its own start
+        was a replay *trial*; :meth:`_try_replay` then applies as many
+        further identical passes as it can prove in one bulk update.
+        """
         n_ins = block.n_ins
         if 0 <= rem_ins < n_ins:
             return None
@@ -2059,12 +1857,9 @@ class BlockEngine:
                 total += k * n_ins
         if sampler_on:
             pmu.sample_countdown -= total
-        self.stats.blocks_executed += 1
-        self.stats.fast_instructions += total
-        if self._trace_tier and next_pc < pc:
-            # back edge: count arrivals at the loop head and promote hot
-            # heads to a superblock trace or compiled region.
-            self._heat(table, next_pc)
+        st = self.stats
+        st.blocks_executed += 1
+        st.fast_instructions += total
         return next_pc, cur_iline, total
 
     # -- trace-tier execution -------------------------------------------
@@ -2183,68 +1978,6 @@ class BlockEngine:
         st.fast_instructions += n
         return next_pc, cur_iline, n
 
-    def _run_trace(
-        self, block: BasicBlock, cur_iline: int, rem_ins: int, cyc_budget: int
-    ) -> Optional[Tuple[int, int, int]]:
-        """Run a superblock trace like a self-loop block (trial + replay)."""
-        n_ins = block.n_ins
-        if 0 <= rem_ins < n_ins:
-            return None
-        cpu = self.cpu
-        counts = cpu.counts
-        if cyc_budget >= 0 and counts[_S.TOT_CYC] + block.max_cyc >= cyc_budget:
-            return None
-        pmu = cpu.pmu
-        sampler_on = False
-        if pmu is not None:
-            if pmu.sampler is not None:
-                if pmu.sample_countdown <= n_ins:
-                    return None
-                sampler_on = True
-            if pmu.watch_active:
-                if pmu.has_pending():
-                    return None
-                md = block.max_deltas
-                for headroom, signals in pmu.watch_constraints():
-                    worst = 0
-                    for s in signals:
-                        worst += md[s]
-                    if headroom <= worst:
-                        return None
-            if pmu.timer_active and pmu.cycles_to_timer(
-                counts[_S.TOT_CYC]
-            ) <= block.max_cyc:
-                return None
-
-        loop = block.loop
-        if (
-            loop is not None
-            and block.fail_epoch == self._epoch
-            and block.fails >= REPLAY_FAIL_LIMIT
-        ):
-            loop = None
-
-        total = n_ins
-        st = self.stats
-        if loop is None:
-            next_pc, cur_iline = block.fn(*self._ctx, cur_iline)
-        else:
-            snap = counts.copy()
-            hsnap = cpu.hierarchy.hit_snapshot()
-            next_pc, cur_iline = block.fn(*self._ctx, cur_iline)
-            if next_pc == block.start:
-                k = self._try_replay(
-                    block, loop, snap, hsnap, rem_ins, cyc_budget, sampler_on
-                )
-                if k:
-                    st.trace_replays += 1
-                total += k * n_ins
-        if sampler_on:
-            pmu.sample_countdown -= total
-        st.blocks_executed += 1
-        st.fast_instructions += total
-        return next_pc, cur_iline, total
-
     def _try_replay(
         self,
         block: BasicBlock,
@@ -2335,6 +2068,9 @@ class BlockEngine:
             else:
                 iregs[reg] += iregs[spec[1]] * spec[2] * k
         block.fails = 0
-        self.stats.replays += 1
-        self.stats.replayed_instructions += k * n_ins
+        st = self.stats
+        st.replays += 1
+        st.replayed_instructions += k * n_ins
+        if block.trace:
+            st.trace_replays += 1
         return k

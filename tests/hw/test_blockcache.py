@@ -174,39 +174,62 @@ def test_long_straight_line_block_split():
     assert on.engine_stats().blocks_compiled >= 3
 
 
-def test_fault_messages_identical():
-    asm = Assembler(name="crash")
+def _fault_program(case: str):
+    """A short program whose compiled code faults with *case*."""
+    asm = Assembler(name=f"fault_{case}")
     asm.label("main")
     asm.li("r1", 3)
     asm.li("r2", 0)
-    asm.div("r3", "r1", "r2")
+    asm.fli("f1", -2.0)
+    asm.fli("f2", 0.0)
+    asm.addi("r3", "r1", 4)
+    if case == "div":
+        asm.div("r3", "r1", "r2")
+    elif case == "fdiv":
+        asm.fdiv("f3", "f1", "f2")
+    elif case == "fsqrt":
+        asm.fsqrt("f3", "f1")
+    elif case == "load":
+        asm.li("r4", 1 << 40)
+        asm.load("r5", "r4", 0)
+    elif case == "store":
+        asm.li("r4", 1 << 40)
+        asm.store("r4", "r4", 0)
+    else:  # "ret": RET on an empty call stack
+        asm.ret()
     asm.halt()
-    prog = asm.build()
-    msgs = []
-    for m in machine_pair():
+    return asm.build()
+
+
+_FAULT_TEXT = {
+    "div": "integer divide by zero",
+    "fdiv": "float divide by zero",
+    "fsqrt": "sqrt of negative value",
+    "load": "load address",
+    "store": "store address",
+    "ret": "RET with empty call stack",
+}
+
+
+@pytest.mark.parametrize("case", list(_FAULT_TEXT))
+def test_fault_counts_identical(case):
+    """A fault leaves the same message, counts, pc and cache state at
+    every engine tier, and the compiled tiers really ran the fault."""
+    prog = _fault_program(case)
+    seen = {}
+    for engine in ("off", "block", "trace"):
+        m = Machine(MachineConfig(engine=engine))
         m.load(prog)
         with pytest.raises(MachineFault) as err:
             m.run_to_completion()
-        msgs.append(str(err.value))
-    assert msgs[0] == msgs[1]
-    assert "divide by zero" in msgs[0]
-
-
-def test_out_of_range_store_fault_identical():
-    asm = Assembler(name="oob")
-    asm.label("main")
-    asm.li("r1", 1 << 40)
-    asm.store("r1", "r1", 0)
-    asm.halt()
-    prog = asm.build()
-    msgs = []
-    for m in machine_pair():
-        m.load(prog)
-        with pytest.raises(MachineFault) as err:
-            m.run_to_completion()
-        msgs.append(str(err.value))
-    assert msgs[0] == msgs[1]
-    assert "out of range" in msgs[0]
+        seen[engine] = (
+            str(err.value), list(m.counts), m.cpu.pc,
+            m.hierarchy.stats_snapshot(),
+        )
+        if engine != "off":
+            assert m.engine_stats().blocks_compiled >= 1
+    assert seen["off"] == seen["block"] == seen["trace"]
+    assert _FAULT_TEXT[case] in seen["off"][0]
 
 
 # ----------------------------------------------------------------------

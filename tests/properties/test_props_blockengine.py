@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sampling import sample_signature
@@ -152,11 +153,14 @@ def run_one(prog, inst, engine: str):
 
 
 class TestEngineEquivalence:
-    @given(segments, instrumentation)
+    # "block" checks the compiled blocks on their own; at "trace" heat
+    # promotion takes hot loops over.
+    @pytest.mark.parametrize("engine", ["block", "trace"])
+    @given(segs=segments, inst=instrumentation)
     @settings(max_examples=40, deadline=None)
-    def test_engine_on_off_identical(self, segs, inst):
+    def test_engine_on_off_identical(self, engine, segs, inst):
         prog = build_program(segs)
         off = run_one(prog, inst, engine="off")
-        on = run_one(prog, inst, engine="trace")
+        on = run_one(prog, inst, engine=engine)
         for key in off:
             assert off[key] == on[key], key
